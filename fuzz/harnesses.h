@@ -87,6 +87,7 @@ void FuzzKvSegment(const uint8_t* data, size_t size);
 void FuzzChainLog(const uint8_t* data, size_t size);
 void FuzzReplication(const uint8_t* data, size_t size);
 void FuzzLineageProof(const uint8_t* data, size_t size);
+void FuzzStoreSnapshot(const uint8_t* data, size_t size);
 
 }  // namespace fuzz
 }  // namespace provledger

@@ -344,6 +344,43 @@ void EmitLineageProof() {
   WriteSeed("lineage_proof", "crash-header-count.bin", enc.TakeBuffer());
 }
 
+void EmitStoreSnapshot() {
+  // A graph section with every column populated: derivations, repeated
+  // subjects and agents, out-of-order timestamps and one invalidation
+  // cascade.
+  prov::ProvenanceGraph graph;
+  for (size_t i = 0; i < 24; ++i) {
+    prov::ProvenanceRecord rec;
+    rec.record_id = "rec-" + std::to_string(1000 + i);
+    rec.operation = i % 2 == 0 ? "create" : "update";
+    rec.subject = "artifact-" + std::to_string(i % 5);
+    rec.agent = "agent-" + std::to_string(i % 3);
+    rec.timestamp = static_cast<Timestamp>(5'000'000 + (i * 7) % 11);
+    if (i > 0) rec.inputs.push_back("out-" + std::to_string(i - 1));
+    if (i % 3 != 0) rec.outputs.push_back("out-" + std::to_string(i));
+    rec.fields["sensor"] = "s-" + std::to_string(i % 4);
+    if (!graph.AddRecord(rec).ok()) std::exit(1);
+  }
+  if (!graph.Invalidate("rec-1002", 6'000'000, "drift").ok()) std::exit(1);
+  Encoder image;
+  graph.Image().EncodeTo(&image);
+  WriteSeed("store_snapshot", "graph.bin", image.TakeBuffer());
+  Encoder empty;
+  prov::GraphImage().EncodeTo(&empty);
+  WriteSeed("store_snapshot", "empty.bin", empty.TakeBuffer());
+  {
+    // A subject id past the entity table: validation must reject it
+    // before the postings rebuild indexes a vector with it.
+    prov::GraphImage bad = graph.Image();
+    auto group = std::make_shared<prov::RowGroup>(*bad.groups[0]);
+    group->subject[0] = 1u << 20;
+    bad.groups[0] = group;
+    Encoder enc;
+    bad.EncodeTo(&enc);
+    WriteSeed("store_snapshot", "crash-subject-range.bin", enc.TakeBuffer());
+  }
+}
+
 }  // namespace
 }  // namespace provledger
 
@@ -381,6 +418,7 @@ int main(int argc, char** argv) {
   EmitKvSegment();
   EmitChainLogAndReplication(blocks);
   EmitLineageProof();
+  EmitStoreSnapshot();
   std::printf("make_corpus: seeds written under %s\n", g_root.c_str());
   return 0;
 }

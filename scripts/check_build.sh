@@ -2,7 +2,8 @@
 # CI-style strict check, five gates in order:
 #   1. build-check/    — full build (tests+benches+examples) under
 #      -Wall -Wextra -Werror (PROVLEDGER_WERROR), full ctest suite, then
-#      per-label passes (recovery, replication, encoding, fuzz, audit). The
+#      per-label passes (recovery, replication, encoding, fuzz, audit,
+#      obs) and the provbench smoke run with its output checks. The
 #      class-level [[nodiscard]] on Status/Result makes every unjustified
 #      discard a compile error here.
 #   2. build-tsan/     — the `concurrency` + `encoding` + `audit` labels
@@ -47,6 +48,10 @@ ctest_tree "$BUILD" -L audit
 ctest_tree "$BUILD" -L obs
 require_binary "$BUILD/provtop"
 "$BUILD/provtop" --self-test
+# Benchmark smoke run: every provbench workload at smoke size, untraced and
+# traced, with its output checks (final epoch equals the live store, zero
+# auditor findings, every window record visible) as a gate.
+python3 "$ROOT/provbench/smoke_test.py"
 
 # ThreadSanitizer gate: the `concurrency` label (sharded ingest, snapshot
 # readers, parallel queries) rebuilt under -fsanitize=thread. Any data

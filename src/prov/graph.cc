@@ -9,7 +9,7 @@
 namespace provledger {
 namespace prov {
 
-uint32_t ProvenanceGraph::InternEntity(const std::string& entity) {
+uint32_t ProvenanceGraph::InternEntity(std::string_view entity) {
   uint32_t eid = entities_.Intern(entity);
   if (eid >= generated_by_.size()) {
     generated_by_.resize(eid + 1);
@@ -34,8 +34,7 @@ bool InsertSortedUnique(std::vector<uint32_t>* v, uint32_t x) {
 
 void ProvenanceGraph::AppendByTime(std::vector<uint32_t>* postings,
                                    uint32_t rid, uint8_t* dirty) {
-  if (!postings->empty() &&
-      meta_[postings->back()].timestamp > meta_[rid].timestamp) {
+  if (!postings->empty() && ts_[postings->back()] > ts_[rid]) {
     *dirty = 1;
   }
   postings->push_back(rid);
@@ -48,7 +47,7 @@ void ProvenanceGraph::EnsureTimeSorted(std::vector<uint32_t>* postings,
   // reproduces the documented "(timestamp, ingest)" tie order.
   std::sort(postings->begin(), postings->end(),
             [this](uint32_t a, uint32_t b) {
-              Timestamp ta = meta_[a].timestamp, tb = meta_[b].timestamp;
+              Timestamp ta = ts_[a], tb = ts_[b];
               return ta != tb ? ta < tb : a < b;
             });
   *dirty = 0;
@@ -65,12 +64,11 @@ Status ProvenanceGraph::AddRecord(ProvenanceRecord&& record) {
                                  record.record_id);
   }
 
-  // A lazily restored graph must be fully hydrated before its first
-  // mutation: ingest appends into every deferred section.
+  // An opened graph must rebuild everything before its first mutation:
+  // ingest appends into every derived structure.
   EnsureUsageLoaded();
   EnsureDerivationsLoaded();
   EnsurePostingsLoaded();
-  EnsureMetaEdgesLoaded();
   EnsureTimeIndexLoaded();
 
   uint32_t rid = record_ids_.Intern(record.record_id);
@@ -78,56 +76,35 @@ Status ProvenanceGraph::AddRecord(ProvenanceRecord&& record) {
   // The moved-in record's strings stay valid inside records_; index off
   // that resting place instead of the consumed parameter.
   const ProvenanceRecord& rec = records_.back();
-  meta_.emplace_back();
-  RecordMeta& meta = meta_.back();
-  meta.timestamp = rec.timestamp;
-  meta.subject = InternEntity(rec.subject);
-
-  meta.inputs.reserve(rec.inputs.size());
-  for (const auto& in : rec.inputs) {
-    uint32_t eid = InternEntity(in);
-    meta.inputs.push_back(eid);
-    used_by_[eid].push_back(rid);
-    ++edge_count_;
-  }
-
+  ts_.push_back(rec.timestamp);
+  const uint32_t subject = InternEntity(rec.subject);
+  subject_col_.push_back(subject);
+  for (const auto& in : rec.inputs) in_ids_.push_back(InternEntity(in));
+  in_end_.push_back(static_cast<uint32_t>(in_ids_.size()));
   // Effective outputs: if none are declared, the operation produces a new
   // logical version of the subject entity.
   if (rec.outputs.empty()) {
-    meta.outputs.push_back(meta.subject);
+    out_ids_.push_back(subject);
   } else {
-    meta.outputs.reserve(rec.outputs.size());
-    for (const auto& out : rec.outputs) {
-      meta.outputs.push_back(InternEntity(out));
-    }
+    for (const auto& out : rec.outputs) out_ids_.push_back(InternEntity(out));
   }
-  // wasGeneratedBy + wasDerivedFrom: each output entity.
-  for (uint32_t out : meta.outputs) {
-    generated_by_[out].push_back(rid);
-    ++edge_count_;
-    for (uint32_t in : meta.inputs) {
-      if (in == out) continue;
-      if (InsertSortedUnique(&derived_from_[out], in)) ++edge_count_;
-      InsertSortedUnique(&derivations_[in], out);
-    }
-  }
-
-  if (by_subject_[meta.subject].empty()) ++subject_count_;
-  AppendByTime(&by_subject_[meta.subject], rid, &subject_dirty_[meta.subject]);
-  uint32_t aid = agents_.Intern(rec.agent);
+  out_end_.push_back(static_cast<uint32_t>(out_ids_.size()));
+  const uint32_t aid = agents_.Intern(rec.agent);
+  agent_col_.push_back(aid);
   if (aid >= by_agent_.size()) {
     by_agent_.resize(aid + 1);
     agent_dirty_.resize(aid + 1, 0);
   }
+
+  // used + wasGeneratedBy per input/output, wasDerivedFrom per new
+  // (output, input) pair, wasAssociatedWith (activity -> agent) once.
+  IndexUsage(rid);
+  edge_count_ += Inputs(rid).size() + Outputs(rid).size() +
+                 IndexDerivations(rid) + 1;
+  if (by_subject_[subject].empty()) ++subject_count_;
+  AppendByTime(&by_subject_[subject], rid, &subject_dirty_[subject]);
   AppendByTime(&by_agent_[aid], rid, &agent_dirty_[aid]);
-
-  // Global time index; same append-and-mark-dirty scheme.
-  std::pair<Timestamp, uint32_t> entry{rec.timestamp, rid};
-  if (!by_time_.empty() && by_time_.back() > entry) time_dirty_ = 1;
-  by_time_.push_back(entry);
-
-  // wasAssociatedWith: activity -> agent.
-  ++edge_count_;
+  IndexTime(rid);
   return Status::OK();
 }
 
@@ -164,7 +141,7 @@ std::vector<std::string> ProvenanceGraph::EntityClosure(
   }
   out.reserve(reached.size() - 1);
   for (size_t i = 1; i < reached.size(); ++i) {
-    out.push_back(entities_.Name(reached[i]));
+    out.emplace_back(entities_.Name(reached[i]));
   }
   return out;
 }
@@ -235,14 +212,14 @@ void ProvenanceGraph::NarrowByTime(const Query& query,
   if (query.from) {
     *lo = std::lower_bound(list.begin(), list.end(), *query.from,
                            [this](uint32_t rid, Timestamp t) {
-                             return meta_[rid].timestamp < t;
+                             return ts_[rid] < t;
                            }) -
           list.begin();
   }
   if (query.to) {
     *hi = std::upper_bound(list.begin() + *lo, list.end(), *query.to,
                            [this](Timestamp t, uint32_t rid) {
-                             return t < meta_[rid].timestamp;
+                             return t < ts_[rid];
                            }) -
           list.begin();
   }
@@ -252,6 +229,7 @@ void ProvenanceGraph::NarrowByTime(const Query& query,
 ProvenanceGraph::QueryPlan ProvenanceGraph::PlanQuery(
     const Query& query) const {
   QueryPlan plan;
+  EnsureColumns();  // time narrowing and postings sorts read ts_
   // An impossible time range matches nothing regardless of indexes.
   if (query.from && query.to && *query.from > *query.to) return plan;
 
@@ -309,7 +287,7 @@ ProvenanceGraph::QueryPlan ProvenanceGraph::PlanQuery(
                             {QueryIndex::kInput, input_n},
                             {QueryIndex::kOutput, output_n}};
   QueryIndex best = QueryIndex::kFullScan;
-  size_t best_n = records_.size();
+  size_t best_n = record_count();
   for (const Option& option : options) {
     if (option.estimate < best_n) {
       best = option.index;
@@ -338,7 +316,7 @@ ProvenanceGraph::QueryPlan ProvenanceGraph::PlanQuery(
                                               : generated_by_[output_eid];
       std::sort(plan.owned.begin(), plan.owned.end(),
                 [this](uint32_t a, uint32_t b) {
-                  Timestamp ta = meta_[a].timestamp, tb = meta_[b].timestamp;
+                  Timestamp ta = ts_[a], tb = ts_[b];
                   return ta != tb ? ta < tb : a < b;
                 });
       plan.owned.erase(std::unique(plan.owned.begin(), plan.owned.end()),
@@ -385,9 +363,9 @@ bool ProvenanceGraph::ShouldFanOut(const Query& query,
   // A covering plan needs no per-candidate checks — offset/limit become
   // slice arithmetic, which no thread pool can beat.
   if (plan.covers_filters) return false;
-  // Lazily-encoded snapshot records hydrate on first touch; concurrent
-  // workers would race on that mutation. Warm() lifts the restriction.
-  if (!record_ready_.empty()) return false;
+  // Row-group records decode on first touch; concurrent workers would
+  // race on that mutation. Warm() lifts the restriction.
+  if (base_decoded_ < base_rows_) return false;
   if (plan.size() < 2 * kMinCandidatesPerWorker) return false;
   // Parallel workers cannot stop early, so a query satisfied by a small
   // result prefix usually does better with the serial early-exit —
@@ -420,7 +398,7 @@ std::vector<uint32_t> ProvenanceGraph::ParallelMatch(
     std::vector<uint32_t>& out = found[w];
     for (size_t i = lo; i < hi; ++i) {
       uint32_t rid = PlanRidAt(plan, i);
-      if (query.Matches(RecordAt(rid), invalidations_.count(rid) > 0)) {
+      if (query.Matches(RecordAt(rid), IsInvalid(rid))) {
         out.push_back(rid);
       }
     }
@@ -495,7 +473,7 @@ QueryResult ProvenanceGraph::Run(const Query& query) const {
     }
     for (size_t i = 0; i < plan.size(); ++i) {
       uint32_t rid = PlanRidAt(plan, i);
-      if (query.Matches(RecordAt(rid), invalidations_.count(rid) > 0)) {
+      if (query.Matches(RecordAt(rid), IsInvalid(rid))) {
         ++result.count;
       }
     }
@@ -521,7 +499,7 @@ QueryResult ProvenanceGraph::Run(const Query& query) const {
   size_t skipped = 0;
   for (size_t i = 0; i < plan.size(); ++i) {
     uint32_t rid = PlanRidAt(plan, query.descending ? plan.size() - 1 - i : i);
-    if (!query.Matches(RecordAt(rid), invalidations_.count(rid) > 0)) continue;
+    if (!query.Matches(RecordAt(rid), IsInvalid(rid))) continue;
     if (skipped < query.offset) {
       ++skipped;
       continue;
@@ -552,7 +530,7 @@ QueryExplain ProvenanceGraph::Explain(const Query& query) const {
   out.candidates_scanned = plan.size();
   for (size_t i = 0; i < plan.size(); ++i) {
     uint32_t rid = PlanRidAt(plan, i);
-    if (query.Matches(RecordAt(rid), invalidations_.count(rid) > 0)) {
+    if (query.Matches(RecordAt(rid), IsInvalid(rid))) {
       ++out.rows_matched;
     }
   }
@@ -598,7 +576,7 @@ size_t ProvenanceGraph::Run(
   size_t skipped = 0, visited = 0;
   for (size_t i = 0; i < plan.size(); ++i) {
     uint32_t rid = PlanRidAt(plan, query.descending ? plan.size() - 1 - i : i);
-    if (!query.Matches(RecordAt(rid), invalidations_.count(rid) > 0)) continue;
+    if (!query.Matches(RecordAt(rid), IsInvalid(rid))) continue;
     if (skipped < query.offset) {
       ++skipped;
       continue;
@@ -649,7 +627,7 @@ size_t ProvenanceGraph::InRangeCount(Timestamp from, Timestamp to) const {
 
 void ProvenanceGraph::AppendDownstream(uint32_t rid, Bitset* seen,
                                        std::vector<uint32_t>* out) const {
-  for (uint32_t eid : meta_[rid].outputs) {
+  for (uint32_t eid : Outputs(rid)) {
     for (uint32_t consumer : used_by_[eid]) {
       if (consumer != rid && seen->TestAndSet(consumer)) {
         out->push_back(consumer);
@@ -659,11 +637,10 @@ void ProvenanceGraph::AppendDownstream(uint32_t rid, Bitset* seen,
 }
 
 std::vector<uint32_t> ProvenanceGraph::DownstreamClosure(uint32_t rid) const {
-  EnsureUsageLoaded();      // used_by_ drives the BFS
-  EnsureMetaEdgesLoaded();  // AppendDownstream walks meta outputs
+  EnsureUsageLoaded();  // used_by_ + the output columns drive the BFS
   // BFS over the consumption graph: every record that used (transitively)
   // this record's outputs (SciBlock semantics).
-  Bitset seen(records_.size());
+  Bitset seen(record_count());
   seen.TestAndSet(rid);
   std::vector<uint32_t> reached;
   AppendDownstream(rid, &seen, &reached);
@@ -679,7 +656,7 @@ Result<std::vector<std::string>> ProvenanceGraph::Invalidate(
   if (rid == InternTable::kNone) {
     return Status::NotFound("no such record: " + record_id);
   }
-  if (invalidations_.count(rid)) {
+  if (IsInvalid(rid)) {
     return Status::AlreadyExists("record already invalidated: " + record_id);
   }
 
@@ -687,373 +664,293 @@ Result<std::vector<std::string>> ProvenanceGraph::Invalidate(
   std::vector<std::string> order;
   order.reserve(cascade.size() + 1);
   order.push_back(record_id);
-  for (uint32_t id : cascade) order.push_back(record_ids_.Name(id));
+  for (uint32_t id : cascade) order.emplace_back(record_ids_.Name(id));
 
+  // Published images share the current map, so mutation copies it.
+  auto marks = invalidations_ != nullptr
+                   ? std::make_shared<InvalidationMap>(*invalidations_)
+                   : std::make_shared<InvalidationMap>();
   for (uint32_t id : cascade) {
-    if (invalidations_.count(id)) continue;  // already invalid from earlier
+    if (marks->count(id)) continue;  // already invalid from earlier
     Invalidation inv;
-    inv.record_id = record_ids_.Name(id);
+    inv.record_id = std::string(record_ids_.Name(id));
     inv.at = at;
     inv.reason = reason;
     inv.cascaded = true;
-    invalidations_.emplace(id, std::move(inv));
+    marks->emplace(id, std::move(inv));
   }
   Invalidation root;
   root.record_id = record_id;
   root.at = at;
   root.reason = reason;
   root.cascaded = false;
-  invalidations_.emplace(rid, std::move(root));
+  marks->emplace(rid, std::move(root));
+  invalidations_ = std::move(marks);
   return order;
 }
 
 bool ProvenanceGraph::IsInvalidated(const std::string& record_id) const {
   uint32_t rid = record_ids_.Find(record_id);
-  return rid != InternTable::kNone && invalidations_.count(rid) > 0;
+  return rid != InternTable::kNone && IsInvalid(rid);
 }
 
 Result<Invalidation> ProvenanceGraph::GetInvalidation(
     const std::string& record_id) const {
   uint32_t rid = record_ids_.Find(record_id);
-  if (rid != InternTable::kNone) {
-    auto it = invalidations_.find(rid);
-    if (it != invalidations_.end()) {
-      Invalidation inv = it->second;
-      // Snapshot-loaded entries carry no record_id string (lazy names).
-      if (inv.record_id.empty()) inv.record_id = record_ids_.Name(rid);
-      return inv;
-    }
+  if (rid != InternTable::kNone && IsInvalid(rid)) {
+    Invalidation inv = invalidations_->at(rid);
+    // Entries decoded from disk carry no record_id string.
+    if (inv.record_id.empty()) inv.record_id = std::string(record_ids_.Name(rid));
+    return inv;
   }
   return Status::NotFound("record not invalidated: " + record_id);
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot serialization.
+// Row groups: first-touch rebuilds, Image() and Open().
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Reads a u32 vector in one bulk step, rejecting ids outside
-/// [0, id_limit). GetU32Array validates the byte length against the buffer
-/// before allocating, so the length cap can stay open-ended.
-Status GetU32Vec(Decoder* dec, std::vector<uint32_t>* v, uint32_t id_limit) {
-  PROVLEDGER_RETURN_NOT_OK(
-      dec->GetU32Array(v, std::numeric_limits<uint32_t>::max()));
-  for (uint32_t x : *v) {
-    if (x >= id_limit) {
-      return Status::Corruption("graph snapshot id out of range");
-    }
+const ProvenanceRecord& ProvenanceGraph::DecodeBaseRecord(
+    uint32_t rid) const {
+  if (base_slot_.empty()) base_slot_.assign(base_rows_, 0);
+  const size_t slot = base_decoded_++;
+  if (slot % kDecodedChunk == 0) {
+    decoded_.push_back(std::make_unique<ProvenanceRecord[]>(kDecodedChunk));
   }
-  return Status::OK();
-}
-
-void PutVecOfU32Vec(Encoder* enc,
-                    const std::vector<std::vector<uint32_t>>& vv) {
-  enc->PutU32(static_cast<uint32_t>(vv.size()));
-  for (const auto& v : vv) enc->PutU32Array(v);
-}
-
-Status GetVecOfU32Vec(Decoder* dec, std::vector<std::vector<uint32_t>>* vv,
-                      uint32_t expected_size, uint32_t id_limit) {
-  uint32_t n = 0;
-  PROVLEDGER_RETURN_NOT_OK(dec->GetU32(&n));
-  if (n != expected_size) {
-    return Status::Corruption("graph snapshot adjacency size mismatch");
-  }
-  vv->assign(n, {});
-  for (auto& v : *vv) PROVLEDGER_RETURN_NOT_OK(GetU32Vec(dec, &v, id_limit));
-  return Status::OK();
-}
-
-}  // namespace
-
-void ProvenanceGraph::MaterializeRecord(uint32_t rid) const {
-  Decoder dec(lazy_records_.data() + lazy_record_offsets_[rid],
-              lazy_record_offsets_[rid + 1] - lazy_record_offsets_[rid]);
+  ProvenanceRecord& out = decoded_[slot / kDecodedChunk][slot % kDecodedChunk];
+  const EntryColumn& records = base_[rid / kRowGroupRows]->records;
+  const size_t row = rid % kRowGroupRows;
+  Decoder dec(records.bytes.data() + records.offsets[row],
+              records.end(row) - records.offsets[row]);
   auto rec = ProvenanceRecord::DecodeFrom(&dec);
-  if (rec.ok()) records_[rid] = std::move(rec).value();
-  // Mark even on failure (offsets were validated at load, so failure is a
-  // bug, not data): an empty record beats an infinite retry loop.
-  record_ready_[rid] = 1;
+  // Groups hold canonical encodings, and loading validated the offsets;
+  // bytes that still fail to decode (a checksum collision) yield an empty
+  // record rather than a crash or a retry on every access.
+  if (rec.ok()) out = std::move(rec).value();
+  base_slot_[rid] = static_cast<uint32_t>(slot + 1);
+  return out;
 }
 
-void ProvenanceGraph::Hydrate(LazySlice* slice,
-                              const std::function<Status(Decoder*)>& load) {
-  if (slice->empty()) return;
-  // Detach first so a re-entrant Ensure* during `load` no-ops.
-  LazySlice pinned = std::move(*slice);
-  slice->clear();
-  Decoder dec(pinned.data(), pinned.length);
-  Status hydrated = load(&dec);
-  // The section sat under the snapshot's load-time checksum and its ids
-  // were bounded at write time, so failure here is a bug; the section
-  // stays empty then.
-  assert(hydrated.ok());
-  (void)hydrated;
+void ProvenanceGraph::EnsureColumns() const {
+  if (columns_ready_) return;
+  columns_ready_ = true;
+  // Only base rows can be missing: rows are added in memory only after
+  // AddRecord ran every Ensure*, this one included.
+  subject_col_.reserve(base_rows_);
+  agent_col_.reserve(base_rows_);
+  ts_.reserve(base_rows_);
+  in_end_.reserve(base_rows_);
+  out_end_.reserve(base_rows_);
+  for (const auto& group : base_) {
+    subject_col_.insert(subject_col_.end(), group->subject.begin(),
+                        group->subject.end());
+    agent_col_.insert(agent_col_.end(), group->agent.begin(),
+                      group->agent.end());
+    ts_.insert(ts_.end(), group->timestamp.begin(), group->timestamp.end());
+    const auto in_base = static_cast<uint32_t>(in_ids_.size());
+    for (uint32_t end : group->input_end) in_end_.push_back(in_base + end);
+    in_ids_.insert(in_ids_.end(), group->inputs.begin(), group->inputs.end());
+    const auto out_base = static_cast<uint32_t>(out_ids_.size());
+    for (uint32_t end : group->output_end) out_end_.push_back(out_base + end);
+    out_ids_.insert(out_ids_.end(), group->outputs.begin(),
+                    group->outputs.end());
+  }
 }
 
 void ProvenanceGraph::EnsureUsageLoaded() const {
-  Hydrate(&lazy_usage_, [this](Decoder* dec) -> Status {
-    const uint32_t ne = static_cast<uint32_t>(entities_.size());
-    const uint32_t nr = static_cast<uint32_t>(records_.size());
-    PROVLEDGER_RETURN_NOT_OK(GetVecOfU32Vec(dec, &generated_by_, ne, nr));
-    PROVLEDGER_RETURN_NOT_OK(GetVecOfU32Vec(dec, &used_by_, ne, nr));
-    if (!dec->AtEnd()) return Status::Corruption("trailing usage bytes");
-    return Status::OK();
-  });
+  if (usage_ready_) return;
+  EnsureColumns();
+  usage_ready_ = true;
+  generated_by_.assign(entities_.size(), {});
+  used_by_.assign(entities_.size(), {});
+  for (uint32_t rid = 0; rid < base_rows_; ++rid) IndexUsage(rid);
 }
 
 void ProvenanceGraph::EnsureDerivationsLoaded() const {
-  Hydrate(&lazy_derived_, [this](Decoder* dec) -> Status {
-    const uint32_t ne = static_cast<uint32_t>(entities_.size());
-    PROVLEDGER_RETURN_NOT_OK(GetVecOfU32Vec(dec, &derived_from_, ne, ne));
-    PROVLEDGER_RETURN_NOT_OK(GetVecOfU32Vec(dec, &derivations_, ne, ne));
-    if (!dec->AtEnd()) return Status::Corruption("trailing derivation bytes");
-    return Status::OK();
-  });
+  if (derivations_ready_) return;
+  EnsureColumns();
+  derivations_ready_ = true;
+  derived_from_.assign(entities_.size(), {});
+  derivations_.assign(entities_.size(), {});
+  for (uint32_t rid = 0; rid < base_rows_; ++rid) IndexDerivations(rid);
 }
 
 void ProvenanceGraph::EnsurePostingsLoaded() const {
-  Hydrate(&lazy_postings_, [this](Decoder* dec) -> Status {
-    const uint32_t ne = static_cast<uint32_t>(entities_.size());
-    const uint32_t na = static_cast<uint32_t>(agents_.size());
-    const uint32_t nr = static_cast<uint32_t>(records_.size());
-    PROVLEDGER_RETURN_NOT_OK(GetVecOfU32Vec(dec, &by_subject_, ne, nr));
-    PROVLEDGER_RETURN_NOT_OK(GetVecOfU32Vec(dec, &by_agent_, na, nr));
-    // Saved postings are canonically sorted, so every list starts clean.
-    subject_dirty_.assign(ne, 0);
-    agent_dirty_.assign(na, 0);
-    if (!dec->AtEnd()) return Status::Corruption("trailing postings bytes");
-    return Status::OK();
-  });
-}
-
-void ProvenanceGraph::EnsureMetaEdgesLoaded() const {
-  Hydrate(&lazy_meta_edges_, [this](Decoder* dec) -> Status {
-    const uint32_t ne = static_cast<uint32_t>(entities_.size());
-    for (size_t i = 0; i < lazy_loaded_records_; ++i) {
-      PROVLEDGER_RETURN_NOT_OK(GetU32Vec(dec, &meta_[i].inputs, ne));
-      PROVLEDGER_RETURN_NOT_OK(GetU32Vec(dec, &meta_[i].outputs, ne));
-    }
-    if (!dec->AtEnd()) return Status::Corruption("trailing meta-edge bytes");
-    return Status::OK();
-  });
+  if (postings_ready_) return;
+  postings_ready_ = true;
+  by_subject_.assign(entities_.size(), {});
+  subject_dirty_.assign(entities_.size(), 0);
+  by_agent_.assign(agents_.size(), {});
+  agent_dirty_.assign(agents_.size(), 0);
+  // Walking rows in (timestamp, rid) order leaves every list in its
+  // canonical order: no list starts dirty, whatever order rows arrived in.
+  EnsureGlobalTimeSorted();
+  for (const auto& [ts, rid] : by_time_) {
+    by_subject_[subject_col_[rid]].push_back(rid);
+    by_agent_[agent_col_[rid]].push_back(rid);
+  }
 }
 
 void ProvenanceGraph::EnsureTimeIndexLoaded() const {
-  Hydrate(&lazy_time_index_, [this](Decoder* dec) -> Status {
-    const uint32_t nr = static_cast<uint32_t>(records_.size());
-    uint32_t n = 0;
-    PROVLEDGER_RETURN_NOT_OK(dec->GetU32(&n));
-    if (n != lazy_loaded_records_) {
-      return Status::Corruption("time index size mismatch");
-    }
-    by_time_.resize(n);
-    for (auto& [ts, rid] : by_time_) {
-      PROVLEDGER_RETURN_NOT_OK(dec->GetI64(&ts));
-      PROVLEDGER_RETURN_NOT_OK(dec->GetU32(&rid));
-      if (rid >= nr) {
-        return Status::Corruption("time index rid out of range");
-      }
-    }
-    time_dirty_ = 0;  // saved sorted
-    if (!dec->AtEnd()) return Status::Corruption("trailing time-index bytes");
-    return Status::OK();
-  });
+  if (time_ready_) return;
+  EnsureColumns();
+  time_ready_ = true;
+  by_time_.reserve(base_rows_);
+  for (uint32_t rid = 0; rid < base_rows_; ++rid) IndexTime(rid);
 }
 
-void ProvenanceGraph::SaveTo(Encoder* enc) const {
-  // Postings are saved in canonical (timestamp, rid) order so LoadFrom can
-  // clear every dirty flag; paying any deferred sorts now keeps the load
-  // path sort-free. Sections still sitting in raw snapshot form are
-  // untouched since their own load and already canonical.
-  if (lazy_postings_.empty()) {
-    for (size_t eid = 0; eid < by_subject_.size(); ++eid) {
-      EnsureTimeSorted(&by_subject_[eid], &subject_dirty_[eid]);
-    }
-    for (size_t aid = 0; aid < by_agent_.size(); ++aid) {
-      EnsureTimeSorted(&by_agent_[aid], &agent_dirty_[aid]);
+void ProvenanceGraph::IndexUsage(uint32_t rid) const {
+  for (uint32_t in : Inputs(rid)) used_by_[in].push_back(rid);
+  for (uint32_t out : Outputs(rid)) generated_by_[out].push_back(rid);
+}
+
+size_t ProvenanceGraph::IndexDerivations(uint32_t rid) const {
+  size_t added = 0;
+  const IdSpan inputs = Inputs(rid);
+  for (uint32_t out : Outputs(rid)) {
+    for (uint32_t in : inputs) {
+      if (in == out) continue;
+      if (InsertSortedUnique(&derived_from_[out], in)) ++added;
+      InsertSortedUnique(&derivations_[in], out);
     }
   }
+  return added;
+}
 
-  // One length-prefixed section each for the deferred structure groups:
-  // raw passthrough when this graph itself still holds the section lazily
-  // (any mutation hydrates everything first, so raw implies unchanged).
-  auto save_section = [enc](const LazySlice& raw,
-                            const std::function<void(Encoder*)>& write) {
-    if (!raw.empty()) {
-      enc->PutU32(static_cast<uint32_t>(raw.length));
-      enc->PutRaw(raw.data(), raw.length);
-      return;
-    }
-    Encoder section;
-    write(&section);
-    enc->PutU32(static_cast<uint32_t>(section.size()));
-    enc->PutRaw(section.buffer());
-  };
+void ProvenanceGraph::IndexTime(uint32_t rid) const {
+  // Same append-and-mark-dirty scheme as the postings.
+  std::pair<Timestamp, uint32_t> entry{ts_[rid], rid};
+  if (!by_time_.empty() && by_time_.back() > entry) time_dirty_ = 1;
+  by_time_.push_back(entry);
+}
 
-  record_ids_.SaveTo(enc);
-  entities_.SaveTo(enc);
-  agents_.SaveTo(enc);
-
-  // Records travel as one blob plus an offset table (n + 1 entries, last =
-  // blob size) so LoadFrom can keep them lazily encoded. Records still
-  // sitting un-materialized in this graph's own lazy blob are copied as
-  // bytes — snapshotting a snapshot-restored store never decodes them.
-  enc->PutU32(static_cast<uint32_t>(records_.size()));
-  Encoder blob;
-  std::vector<uint32_t> offsets;
-  offsets.reserve(records_.size() + 1);
-  for (uint32_t rid = 0; rid < records_.size(); ++rid) {
-    offsets.push_back(static_cast<uint32_t>(blob.size()));
-    if (rid < record_ready_.size() && !record_ready_[rid]) {
-      blob.PutRaw(lazy_records_.data() + lazy_record_offsets_[rid],
-                  lazy_record_offsets_[rid + 1] - lazy_record_offsets_[rid]);
+void ProvenanceGraph::EnsureBuilder() const {
+  if (builder_ready_) return;
+  builder_ready_ = true;
+  // Full groups are shared as they are; a partly filled last group keeps
+  // filling as the builder's open group.
+  sealed_groups_.clear();
+  open_group_ = RowGroup();
+  for (const auto& group : base_) {
+    if (group->rows() == kRowGroupRows) {
+      sealed_groups_.push_back(group);
     } else {
-      records_[rid].EncodeTo(&blob);
+      open_group_ = *group;
     }
   }
-  offsets.push_back(static_cast<uint32_t>(blob.size()));
-  enc->PutU32Array(offsets);
-  enc->PutU32(static_cast<uint32_t>(blob.size()));
-  enc->PutRaw(blob.buffer());
-
-  // Planner-critical meta scalars load eagerly, so they are flat arrays.
-  std::vector<uint32_t> subjects;
-  subjects.reserve(meta_.size());
-  for (const auto& meta : meta_) subjects.push_back(meta.subject);
-  enc->PutU32Array(subjects);
-  for (const auto& meta : meta_) enc->PutI64(meta.timestamp);
-
-  save_section(lazy_usage_, [this](Encoder* s) {
-    PutVecOfU32Vec(s, generated_by_);
-    PutVecOfU32Vec(s, used_by_);
-  });
-  save_section(lazy_derived_, [this](Encoder* s) {
-    PutVecOfU32Vec(s, derived_from_);
-    PutVecOfU32Vec(s, derivations_);
-  });
-  save_section(lazy_postings_, [this](Encoder* s) {
-    PutVecOfU32Vec(s, by_subject_);
-    PutVecOfU32Vec(s, by_agent_);
-  });
-  save_section(lazy_meta_edges_, [this](Encoder* s) {
-    for (const auto& meta : meta_) {
-      s->PutU32Array(meta.inputs);
-      s->PutU32Array(meta.outputs);
-    }
-  });
-  if (lazy_time_index_.empty()) EnsureGlobalTimeSorted();
-  save_section(lazy_time_index_, [this](Encoder* s) {
-    s->PutU32(static_cast<uint32_t>(by_time_.size()));
-    for (const auto& [ts, rid] : by_time_) {
-      s->PutI64(ts);
-      s->PutU32(rid);
-    }
-  });
-
-  enc->PutU32(static_cast<uint32_t>(invalidations_.size()));
-  for (const auto& [rid, inv] : invalidations_) {
-    enc->PutU32(rid);
-    enc->PutI64(inv.at);
-    enc->PutString(inv.reason);
-    enc->PutBool(inv.cascaded);
+  encoded_rows_ = static_cast<uint32_t>(base_rows_);
+  if (open_group_.rows() == 0 && !base_.empty()) {
+    open_group_.first_row = encoded_rows_;
+    open_group_.entity_base = base_.back()->entity_end();
+    open_group_.agent_base = base_.back()->agent_end();
   }
-
-  enc->PutU64(edge_count_);
-  enc->PutU64(subject_count_);
 }
 
-Status ProvenanceGraph::LoadFrom(
-    Decoder* dec, const std::shared_ptr<const Bytes>& backing) {
+void ProvenanceGraph::EncodeRows(uint32_t from, uint32_t to) const {
+  RowGroup& group = open_group_;
+  uint32_t entity_end = group.entity_end();
+  uint32_t agent_end = group.agent_end();
+  Encoder scratch;
+  for (uint32_t rid = from; rid < to; ++rid) {
+    // Builder rows start past the base, so they are in-memory records.
+    group.records.offsets.push_back(
+        static_cast<uint32_t>(group.records.bytes.size()));
+    scratch.Clear();
+    records_[rid - base_rows_].EncodeTo(&scratch);
+    group.records.bytes.insert(group.records.bytes.end(),
+                               scratch.buffer().begin(),
+                               scratch.buffer().end());
+    group.subject.push_back(subject_col_[rid]);
+    group.agent.push_back(agent_col_[rid]);
+    group.timestamp.push_back(ts_[rid]);
+    for (uint32_t in : Inputs(rid)) {
+      group.inputs.push_back(in);
+      entity_end = std::max(entity_end, in + 1);
+    }
+    group.input_end.push_back(static_cast<uint32_t>(group.inputs.size()));
+    for (uint32_t out : Outputs(rid)) {
+      group.outputs.push_back(out);
+      entity_end = std::max(entity_end, out + 1);
+    }
+    group.output_end.push_back(static_cast<uint32_t>(group.outputs.size()));
+    entity_end = std::max(entity_end, subject_col_[rid] + 1);
+    agent_end = std::max(agent_end, agent_col_[rid] + 1);
+  }
+  // Ids are handed out in first-seen order, so the names these rows
+  // interned first are exactly the ids past the group's current end.
+  for (uint32_t id = group.entity_end(); id < entity_end; ++id) {
+    group.entity_names.AppendName(entities_.Name(id));
+  }
+  for (uint32_t id = group.agent_end(); id < agent_end; ++id) {
+    group.agent_names.AppendName(agents_.Name(id));
+  }
+}
+
+GraphImage ProvenanceGraph::Image(size_t* bytes_written) const {
+  EnsureBuilder();
+  size_t written = 0;
+  size_t open_start = open_group_.bytes();
+  const auto rows = static_cast<uint32_t>(record_count());
+  while (encoded_rows_ < rows) {
+    const uint32_t room =
+        kRowGroupRows - static_cast<uint32_t>(open_group_.rows());
+    const uint32_t take = std::min(room, rows - encoded_rows_);
+    EncodeRows(encoded_rows_, encoded_rows_ + take);
+    encoded_rows_ += take;
+    if (open_group_.rows() == kRowGroupRows) {
+      written += open_group_.bytes() - open_start;
+      RowGroup next;
+      next.first_row = encoded_rows_;
+      next.entity_base = open_group_.entity_end();
+      next.agent_base = open_group_.agent_end();
+      sealed_groups_.push_back(
+          std::make_shared<const RowGroup>(std::move(open_group_)));
+      open_group_ = std::move(next);
+      open_start = open_group_.bytes();
+    }
+  }
+  written += open_group_.bytes() - open_start;
+
+  GraphImage image;
+  image.groups = sealed_groups_;
+  if (open_group_.rows() > 0) {
+    image.groups.push_back(std::make_shared<const RowGroup>(open_group_));
+    written += open_group_.bytes();
+  }
+  image.invalidations = invalidations_;
+  image.edge_count = edge_count_;
+  image.subject_count = subject_count_;
+  if (bytes_written != nullptr) *bytes_written = written;
+  return image;
+}
+
+void ProvenanceGraph::Open(const GraphImage& image) {
   *this = ProvenanceGraph();
-  Status loaded = [&]() -> Status {
-    PROVLEDGER_RETURN_NOT_OK(record_ids_.LoadFrom(dec, backing));
-    PROVLEDGER_RETURN_NOT_OK(entities_.LoadFrom(dec, backing));
-    PROVLEDGER_RETURN_NOT_OK(agents_.LoadFrom(dec, backing));
-    const uint32_t n_records = static_cast<uint32_t>(record_ids_.size());
-    const uint32_t n_entities = static_cast<uint32_t>(entities_.size());
-
-    uint32_t n = 0;
-    PROVLEDGER_RETURN_NOT_OK(dec->GetU32(&n));
-    if (n != n_records) {
-      return Status::Corruption("graph snapshot record count mismatch");
-    }
-    // Records stay encoded: validate the offset table now (monotone, ends
-    // at the blob size) so lazy materialization can slice blindly later.
-    PROVLEDGER_RETURN_NOT_OK(dec->GetU32Array(&lazy_record_offsets_, n + 1));
-    if (lazy_record_offsets_.size() != n + 1 ||
-        (n > 0 && lazy_record_offsets_[0] != 0)) {
-      return Status::Corruption("graph snapshot record offsets malformed");
-    }
-    for (uint32_t i = 1; i <= n; ++i) {
-      if (lazy_record_offsets_[i] < lazy_record_offsets_[i - 1]) {
-        return Status::Corruption("graph snapshot record offsets unsorted");
-      }
-    }
-    PROVLEDGER_RETURN_NOT_OK(GetSlice(dec, backing, &lazy_records_));
-    if (lazy_record_offsets_[n] != lazy_records_.length) {
-      return Status::Corruption("graph snapshot record blob size mismatch");
-    }
-    records_.resize(n);
-    record_ready_.assign(n, 0);
-
-    // Meta scalars load eagerly (the planner's time narrowing reads them);
-    // the structure sections below stay zero-copy slices until first touch.
-    std::vector<uint32_t> subjects;
-    PROVLEDGER_RETURN_NOT_OK(GetU32Vec(dec, &subjects, n_entities));
-    if (subjects.size() != n) {
-      return Status::Corruption("graph snapshot meta subject count mismatch");
-    }
-    meta_.resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      meta_[i].subject = subjects[i];
-      PROVLEDGER_RETURN_NOT_OK(dec->GetI64(&meta_[i].timestamp));
-    }
-    lazy_loaded_records_ = n;
-
-    PROVLEDGER_RETURN_NOT_OK(GetSlice(dec, backing, &lazy_usage_));
-    PROVLEDGER_RETURN_NOT_OK(GetSlice(dec, backing, &lazy_derived_));
-    PROVLEDGER_RETURN_NOT_OK(GetSlice(dec, backing, &lazy_postings_));
-    PROVLEDGER_RETURN_NOT_OK(GetSlice(dec, backing, &lazy_meta_edges_));
-    PROVLEDGER_RETURN_NOT_OK(GetSlice(dec, backing, &lazy_time_index_));
-    time_dirty_ = 0;  // the deferred time index was saved sorted
-
-    PROVLEDGER_RETURN_NOT_OK(dec->GetU32(&n));
-    invalidations_.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      uint32_t rid = 0;
-      Invalidation inv;
-      PROVLEDGER_RETURN_NOT_OK(dec->GetU32(&rid));
-      if (rid >= n_records) {
-        return Status::Corruption("graph snapshot invalidation out of range");
-      }
-      PROVLEDGER_RETURN_NOT_OK(dec->GetI64(&inv.at));
-      PROVLEDGER_RETURN_NOT_OK(dec->GetString(&inv.reason));
-      PROVLEDGER_RETURN_NOT_OK(dec->GetBool(&inv.cascaded));
-      // record_id is left empty here — GetInvalidation fills it from the
-      // rid on demand, so loading invalidations does not force the whole
-      // record-id intern table to hydrate.
-      invalidations_.emplace(rid, std::move(inv));
-    }
-
-    uint64_t v = 0;
-    PROVLEDGER_RETURN_NOT_OK(dec->GetU64(&v));
-    edge_count_ = static_cast<size_t>(v);
-    PROVLEDGER_RETURN_NOT_OK(dec->GetU64(&v));
-    subject_count_ = static_cast<size_t>(v);
-    return Status::OK();
-  }();
-  if (!loaded.ok()) *this = ProvenanceGraph();
-  return loaded;
+  base_ = image.groups;
+  base_rows_ = image.record_count();
+  std::vector<std::shared_ptr<const EntryColumn>> records, entities, agents;
+  for (const auto& group : base_) {
+    // Aliasing pointers: each column pins its group.
+    records.emplace_back(group, &group->records);
+    entities.emplace_back(group, &group->entity_names);
+    agents.emplace_back(group, &group->agent_names);
+  }
+  record_ids_.Open(std::move(records));
+  entities_.Open(std::move(entities));
+  agents_.Open(std::move(agents));
+  invalidations_ = image.invalidations;
+  edge_count_ = static_cast<size_t>(image.edge_count);
+  subject_count_ = static_cast<size_t>(image.subject_count);
+  const bool empty = base_.empty();
+  columns_ready_ = usage_ready_ = derivations_ready_ = empty;
+  postings_ready_ = time_ready_ = builder_ready_ = empty;
 }
 
 void ProvenanceGraph::Warm() {
-  // Hydrate every deferred snapshot section.
+  // Rebuild every derived structure.
   EnsureUsageLoaded();
   EnsureDerivationsLoaded();
   EnsurePostingsLoaded();
-  EnsureMetaEdgesLoaded();
   EnsureTimeIndexLoaded();
 
   // Pay every pending sort now so no const query path re-sorts later.
@@ -1065,16 +962,10 @@ void ProvenanceGraph::Warm() {
   }
   EnsureGlobalTimeSorted();
 
-  // Decode every lazily-encoded record, then drop the lazy window so
-  // RecordAt becomes a plain vector read.
-  for (uint32_t rid = 0; rid < record_ready_.size(); ++rid) {
-    if (!record_ready_[rid]) MaterializeRecord(rid);
-  }
-  record_ready_.clear();
-  lazy_records_.clear();
-  lazy_record_offsets_.clear();
+  // Decode every row-group record so RecordAt becomes a pure lookup.
+  for (uint32_t rid = 0; rid < base_rows_; ++rid) RecordAt(rid);
 
-  // Intern tables: names and reverse maps.
+  // Intern tables: lookup indexes.
   record_ids_.Warm();
   entities_.Warm();
   agents_.Warm();
@@ -1089,7 +980,7 @@ std::vector<std::string> ProvenanceGraph::ReexecutionSet(
   std::vector<uint32_t> cascade = DownstreamClosure(rid);
   std::vector<std::string> out;
   out.reserve(cascade.size());
-  for (uint32_t id : cascade) out.push_back(record_ids_.Name(id));
+  for (uint32_t id : cascade) out.emplace_back(record_ids_.Name(id));
   return out;
 }
 

@@ -24,15 +24,16 @@
 #define PROVLEDGER_PROV_GRAPH_H_
 
 #include <functional>
+#include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "prov/intern.h"
-#include "prov/lazy_slice.h"
 #include "prov/query.h"
 #include "prov/record.h"
+#include "prov/row_group.h"
 
 namespace provledger {
 namespace prov {
@@ -48,29 +49,19 @@ enum class RelationKind : uint8_t {
   kWasAssociatedWith = 3  // activity  -> agent
 };
 
-/// \brief An invalidation mark on a record (SciBlock's timestamp-based
-/// invalidation: later consumers of the outputs become invalid too).
-struct Invalidation {
-  std::string record_id;
-  Timestamp at = 0;
-  std::string reason;
-  /// True when this record was invalidated transitively via a cascade.
-  bool cascaded = false;
-};
-
 /// \brief In-memory provenance DAG over anchored records.
 ///
 /// Thread safety: NOT internally synchronized — one thread (or external
 /// locking) must own all access to a *live* graph. Const query methods may
-/// lazily hydrate snapshot sections and re-sort internal time indexes
+/// lazily rebuild indexes, decode records and re-sort internal time indexes
 /// (mutable state), so even concurrent read-only use of an arbitrary graph
 /// requires external synchronization. The exception that makes concurrent
 /// reads possible: after Warm() — and with no mutation afterwards — every
 /// const method is a pure read, so any number of threads may query the
 /// same instance concurrently. The snapshot-isolation machinery
 /// (prov/snapshot.h) builds on exactly that contract; alternatively each
-/// reader thread loads its own cheap lazy graph from a shared immutable
-/// snapshot buffer and skips Warm() entirely.
+/// reader thread opens its own cheap graph over a shared immutable
+/// GraphImage and skips Warm() entirely.
 class ProvenanceGraph {
  public:
   /// Ingest a (validated) record, creating entity/activity/agent nodes and
@@ -83,7 +74,7 @@ class ProvenanceGraph {
 
   bool HasRecord(const std::string& record_id) const;
   Result<ProvenanceRecord> GetRecord(const std::string& record_id) const;
-  size_t record_count() const { return records_.size(); }
+  size_t record_count() const { return base_rows_ + records_.size(); }
   size_t entity_count() const { return entities_.size(); }
   /// Distinct PROV edges: used + wasGeneratedBy + wasAssociatedWith per
   /// record, plus *deduplicated* derivation pairs — a derivation asserted
@@ -171,54 +162,56 @@ class ProvenanceGraph {
                                               const std::string& reason);
   bool IsInvalidated(const std::string& record_id) const;
   Result<Invalidation> GetInvalidation(const std::string& record_id) const;
-  size_t invalidated_count() const { return invalidations_.size(); }
+  size_t invalidated_count() const {
+    return invalidations_ == nullptr ? 0 : invalidations_->size();
+  }
   /// Records that would be re-executed to repair the graph after the given
   /// record's invalidation (= the cascade set minus the root).
   std::vector<std::string> ReexecutionSet(const std::string& record_id) const;
   /// @}
 
-  /// \name Snapshot serialization (durable restart path).
-  /// SaveTo dumps the engine's internal structures — intern tables,
-  /// records, dense metadata, adjacency, time-sorted postings, the global
-  /// time index, invalidations — so LoadFrom is pure bulk deserialization:
-  /// no validation, no edge re-derivation, no re-sorting, no hashing.
-  /// Derived structures hydrate lazily: records stay one encoded blob
-  /// (decoded per record on first materialization), the adjacency /
-  /// postings / meta-edge sections stay raw bytes until the first query
-  /// path that touches them, and the intern hash maps rebuild on first
-  /// lookup. A restored graph is therefore serviceable after little more
-  /// than a checksum pass and a few bulk array reads — what makes snapshot
-  /// restore an order of magnitude cheaper than replaying AddRecord over
-  /// the chain (see bench_recovery) — and each deferred piece is paid at
-  /// most once, by the first operation that needs it.
+  /// \name Row groups (epoch publication and the durable restart path).
+  /// Besides its in-memory indexes, the graph keeps its rows as
+  /// append-only row groups (prov/row_group.h). Image() brings them up to
+  /// date and hands out an immutable GraphImage; Open() turns an image
+  /// back into a queryable graph in O(groups), deferring everything else
+  /// to first touch: each record decodes when first materialized, the
+  /// per-row columns and each derived index (postings, usage adjacency,
+  /// derivations, the global time index) rebuild from the groups' columns
+  /// on the first query path that needs them, and the intern tables index
+  /// their names on the first lookup.
   /// @{
-  void SaveTo(Encoder* enc) const;
-  /// Replaces the whole graph. `backing` must be the buffer `dec` decodes
-  /// (the snapshot body, already checksum-verified): deferred sections are
-  /// zero-copy slices into it, pinning it until they hydrate. On error the
-  /// graph is left empty, not partially loaded.
-  Status LoadFrom(Decoder* dec, const std::shared_ptr<const Bytes>& backing);
+  /// Image of the graph as of now: encodes the rows added since the last
+  /// call into the open row group (sealing it, and opening the next, at
+  /// kRowGroupRows rows), then returns the sealed groups — shared, never
+  /// copied — plus a copy of the open group and the per-epoch header.
+  /// O(new rows + one group). `bytes_written` (optional) receives the
+  /// bytes encoded or copied. Writer thread only (the group builder is
+  /// mutable state).
+  GraphImage Image(size_t* bytes_written = nullptr) const;
+  /// Replace the whole graph by a view of `image`. O(groups): no record is
+  /// decoded and no per-record allocation happens here.
+  void Open(const GraphImage& image);
   /// @}
 
   /// \brief Force every deferred structure into its fully-materialized,
-  /// canonically-sorted form: hydrate all lazy snapshot sections, decode
-  /// every lazily-encoded record, rebuild the intern hash maps, and pay
-  /// every pending postings/time-index sort. Afterwards — until the next
-  /// mutation — every const method on this graph is a pure read, safe to
-  /// call from any number of threads concurrently, and parallel query
-  /// execution (Query::Parallel) becomes eligible. Idempotent; a no-op on
-  /// a graph that was never snapshot-loaded and has no pending sorts.
+  /// canonically-sorted form: rebuild every derived index, decode every
+  /// row-group record, index the intern tables, and pay every pending
+  /// postings/time-index sort. Afterwards — until the next mutation —
+  /// every const method on this graph is a pure read, safe to call from
+  /// any number of threads concurrently, and parallel query execution
+  /// (Query::Parallel) becomes eligible. Idempotent; a no-op on a graph
+  /// that was never opened from an image and has no pending sorts.
   void Warm();
 
  private:
-  /// Per-record dense metadata mirrored off the full ProvenanceRecord so
-  /// traversals never touch strings.
-  struct RecordMeta {
-    uint32_t subject = 0;
-    Timestamp timestamp = 0;
-    std::vector<uint32_t> inputs;
-    /// Effective outputs (the subject when none are declared).
-    std::vector<uint32_t> outputs;
+  /// A row's input or output entity ids (a slice of a flat id column).
+  struct IdSpan {
+    const uint32_t* first;
+    const uint32_t* last;
+    const uint32_t* begin() const { return first; }
+    const uint32_t* end() const { return last; }
+    size_t size() const { return static_cast<size_t>(last - first); }
   };
 
   /// Word-granular visited bitset sized for `n` ids.
@@ -268,7 +261,8 @@ class ProvenanceGraph {
   /// thread pool: the query asks for it, the planner's candidate estimate
   /// says the scan is big enough to amortize the thread handoff, the plan
   /// needs per-candidate predicate checks at all, and every record is
-  /// already materialized (lazy snapshot records would race on hydration).
+  /// already decoded (concurrent workers would race on first-touch decoding
+  /// of row-group records).
   bool ShouldFanOut(const Query& query, const QueryPlan& plan) const;
   /// Parallel candidate scan: rids of plan positions whose record passes
   /// every predicate, in ascending plan (time) order. Only called when
@@ -292,40 +286,65 @@ class ProvenanceGraph {
   std::pair<size_t, size_t> TimeIndexSlice(std::optional<Timestamp> from,
                                            std::optional<Timestamp> to) const;
 
-  /// The record for `rid`, lazily decoded out of a snapshot blob on first
-  /// access (plain records_ read outside the lazy window).
+  /// The record for `rid`: rows of an opened image decode from their row
+  /// group on first access, rows added in memory are plain reads.
   const ProvenanceRecord& RecordAt(uint32_t rid) const {
-    if (rid < record_ready_.size() && !record_ready_[rid]) {
-      MaterializeRecord(rid);
+    if (rid >= base_rows_) return records_[rid - base_rows_];
+    if (rid < base_slot_.size() && base_slot_[rid] != 0) {
+      const size_t slot = base_slot_[rid] - 1;
+      return decoded_[slot / kDecodedChunk][slot % kDecodedChunk];
     }
-    return records_[rid];
+    return DecodeBaseRecord(rid);
   }
-  /// Decode records_[rid] from lazy_records_blob_. The blob was CRC-gated
-  /// and offset-validated at load, so failure here is a programming error;
-  /// the record is left empty rather than crashing.
-  void MaterializeRecord(uint32_t rid) const;
+  const ProvenanceRecord& DecodeBaseRecord(uint32_t rid) const;
+  bool IsInvalid(uint32_t rid) const {
+    return invalidations_ != nullptr && invalidations_->count(rid) > 0;
+  }
+  IdSpan Inputs(uint32_t rid) const {
+    return {in_ids_.data() + (rid == 0 ? 0 : in_end_[rid - 1]),
+            in_ids_.data() + in_end_[rid]};
+  }
+  IdSpan Outputs(uint32_t rid) const {
+    return {out_ids_.data() + (rid == 0 ? 0 : out_end_[rid - 1]),
+            out_ids_.data() + out_end_[rid]};
+  }
 
-  /// \name Deferred snapshot-section hydration.
-  /// Each Ensure* decodes its raw section on first touch (no-ops
-  /// otherwise). Sections live under the snapshot's CRC, so a hydration
-  /// decode failure is a programming error; the section loads empty then.
+  /// \name First-touch rebuilds for a graph opened from an image.
+  /// Each Ensure* is a no-op once its structure exists. Usage,
+  /// derivations and the time index replay the matching Index* step below
+  /// over every row; the postings distribute the sorted time index.
   /// @{
+  /// Per-row columns (subject, agent, timestamp, inputs, outputs).
+  void EnsureColumns() const;
   /// generated_by_ + used_by_ (usage adjacency).
   void EnsureUsageLoaded() const;
   /// derived_from_ + derivations_ (entity derivation DAG).
   void EnsureDerivationsLoaded() const;
-  /// by_subject_ + by_agent_ time-sorted postings (+ clean dirty flags).
+  /// by_subject_ + by_agent_ time-ordered postings (distributed from the
+  /// sorted time index, so every list starts sorted).
   void EnsurePostingsLoaded() const;
-  /// Per-record input/output id lists in meta_ (traversal edges).
-  void EnsureMetaEdgesLoaded() const;
   /// The global (timestamp, record) index.
   void EnsureTimeIndexLoaded() const;
-  /// Decode `slice` through `load`, then release it. Shared guard logic.
-  static void Hydrate(LazySlice* slice,
-                      const std::function<Status(Decoder*)>& load);
   /// @}
 
-  uint32_t InternEntity(const std::string& entity);
+  /// \name Per-row index maintenance, shared by AddRecord and the rebuilds.
+  /// @{
+  void IndexUsage(uint32_t rid) const;
+  /// Returns the derivation pairs that were new.
+  size_t IndexDerivations(uint32_t rid) const;
+  void IndexTime(uint32_t rid) const;
+  /// @}
+
+  /// \name Row-group builder (Image()).
+  /// @{
+  /// Adopt an opened image's groups as the builder state (first Image()
+  /// after Open()).
+  void EnsureBuilder() const;
+  /// Encode rows [from, to) into open_group_; they must fit in it.
+  void EncodeRows(uint32_t from, uint32_t to) const;
+  /// @}
+
+  uint32_t InternEntity(std::string_view entity);
   /// Direct downstream consumers of `rid`'s outputs, appended to `out`
   /// (deduplicated via `seen`).
   void AppendDownstream(uint32_t rid, Bitset* seen,
@@ -349,38 +368,41 @@ class ProvenanceGraph {
   InternTable record_ids_;
   InternTable entities_;
   InternTable agents_;
-  /// Full records by dense record id (ingest order). After a snapshot
-  /// load, entries below record_ready_.size() are placeholders until
-  /// RecordAt materializes them from the blob (hence mutable).
-  mutable std::vector<ProvenanceRecord> records_;
-  /// Encoded snapshot records ([lazy_record_offsets_[i],
-  /// lazy_record_offsets_[i+1]) sub-ranges); empty outside the lazy state.
-  LazySlice lazy_records_;
-  std::vector<uint32_t> lazy_record_offsets_;
-  /// 1 = records_[i] is materialized; only covers snapshot-loaded records
-  /// (records added after the load are always materialized).
-  mutable std::vector<uint8_t> record_ready_;
-  /// subject/timestamp are always populated; the inputs/outputs vectors of
-  /// the first lazy_loaded_records_ entries hydrate from
-  /// lazy_meta_edges_raw_ (hence mutable).
-  mutable std::vector<RecordMeta> meta_;
 
-  // Per-entity adjacency, indexed by entity id; mutable because the
-  // snapshot sections hydrate on first touch from const query paths.
+  /// Rows [0, base_rows_) live in base_ (the image this graph was opened
+  /// from); later rows were added in memory and live in records_.
+  std::vector<std::shared_ptr<const RowGroup>> base_;
+  size_t base_rows_ = 0;
+  /// Decoded base records, in decode order, in chunks of kDecodedChunk
+  /// (contiguous records served reads measurably faster than a heap cell
+  /// per record; chunks keep references stable). base_slot_[rid] is 1 +
+  /// the record's decode index, 0 while undecoded; it is sized on the
+  /// first decode, never at Open().
+  static constexpr size_t kDecodedChunk = 1024;
+  mutable std::vector<uint32_t> base_slot_;
+  mutable std::vector<std::unique_ptr<ProvenanceRecord[]>> decoded_;
+  mutable size_t base_decoded_ = 0;
+  /// Rows added in memory, by rid - base_rows_.
+  std::vector<ProvenanceRecord> records_;
+
+  // Per-row columns over every row, the in-memory mirror of the row-group
+  // columns: traversals and time narrowing never touch strings. An opened
+  // graph fills them from base_ on first touch, hence mutable.
+  mutable std::vector<uint32_t> subject_col_;
+  mutable std::vector<uint32_t> agent_col_;
+  mutable std::vector<Timestamp> ts_;
+  mutable std::vector<uint32_t> in_end_, in_ids_;
+  mutable std::vector<uint32_t> out_end_, out_ids_;
+  mutable bool columns_ready_ = true;
+
+  // Per-entity adjacency, indexed by entity id; rebuilt on first touch
+  // after Open(), hence mutable.
   mutable std::vector<std::vector<uint32_t>> generated_by_;  // record ids
   mutable std::vector<std::vector<uint32_t>> used_by_;       // record ids
   mutable std::vector<std::vector<uint32_t>> derived_from_;  // entity ids, sorted
   mutable std::vector<std::vector<uint32_t>> derivations_;   // entity ids, sorted
-
-  // Raw snapshot sections awaiting hydration (empty = live state). Each
-  // pins the snapshot buffer until it hydrates.
-  mutable LazySlice lazy_usage_;
-  mutable LazySlice lazy_derived_;
-  mutable LazySlice lazy_postings_;
-  mutable LazySlice lazy_meta_edges_;
-  mutable LazySlice lazy_time_index_;
-  /// How many leading meta_ entries the meta-edges section covers.
-  size_t lazy_loaded_records_ = 0;
+  mutable bool usage_ready_ = true;
+  mutable bool derivations_ready_ = true;
 
   // Time-ordered postings (subject / agent / global). Lists touched by an
   // out-of-order ingest carry a dirty flag and are re-sorted lazily on
@@ -389,15 +411,27 @@ class ProvenanceGraph {
   mutable std::vector<uint8_t> subject_dirty_;
   mutable std::vector<std::vector<uint32_t>> by_agent_;
   mutable std::vector<uint8_t> agent_dirty_;
+  mutable bool postings_ready_ = true;
   // Global (timestamp, record id) index, sorted.
   mutable std::vector<std::pair<Timestamp, uint32_t>> by_time_;
   mutable uint8_t time_dirty_ = 0;
+  mutable bool time_ready_ = true;
 
-  std::unordered_map<uint32_t, Invalidation> invalidations_;
+  /// Immutable and shared with published images; Invalidate() swaps in a
+  /// new map. nullptr = nothing invalidated.
+  std::shared_ptr<const InvalidationMap> invalidations_;
   size_t edge_count_ = 0;
   /// Distinct entities that have appeared as a subject (kept incrementally
   /// so the planner accessor stays O(1)).
   size_t subject_count_ = 0;
+
+  // Row-group builder: rows [0, encoded_rows_) are in sealed_groups_ +
+  // open_group_. Image() is logically const (it caches encodings of
+  // existing rows), hence mutable.
+  mutable std::vector<std::shared_ptr<const RowGroup>> sealed_groups_;
+  mutable RowGroup open_group_;
+  mutable uint32_t encoded_rows_ = 0;
+  mutable bool builder_ready_ = true;
 };
 
 }  // namespace prov

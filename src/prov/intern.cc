@@ -1,83 +1,57 @@
 #include "prov/intern.h"
 
-#include <cassert>
-
 namespace provledger {
 namespace prov {
 
-uint32_t InternTable::Intern(const std::string& s) {
-  EnsureNames();
-  EnsureMap();
+InternTable::InternTable(const InternTable& other)
+    : columns_(other.columns_),
+      base_count_(other.base_count_),
+      owned_(other.owned_),
+      index_ready_(false) {}
+
+InternTable& InternTable::operator=(const InternTable& other) {
+  if (this != &other) *this = InternTable(other);
+  return *this;
+}
+
+uint32_t InternTable::Intern(std::string_view s) {
+  EnsureIndex();
   auto it = ids_.find(s);
   if (it != ids_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(names_.size());
-  ids_.emplace(s, id);
-  names_.push_back(s);
+  uint32_t id = static_cast<uint32_t>(size());
+  owned_.emplace_back(s);
+  views_.push_back(owned_.back());
+  ids_.emplace(views_.back(), id);
   return id;
 }
 
-uint32_t InternTable::Find(const std::string& s) const {
-  EnsureNames();
-  EnsureMap();
+uint32_t InternTable::Find(std::string_view s) const {
+  EnsureIndex();
   auto it = ids_.find(s);
   return it == ids_.end() ? kNone : it->second;
 }
 
-void InternTable::EnsureNames() const {
-  if (lazy_names_.empty()) return;
-  LazySlice slice = std::move(lazy_names_);
-  lazy_names_.clear();
-  Decoder dec(slice.data(), slice.length);
-  uint32_t n = 0;
-  Status hydrated = [&]() -> Status {
-    PROVLEDGER_RETURN_NOT_OK(dec.GetU32(&n));
-    names_.assign(n, std::string());
-    for (uint32_t id = 0; id < n; ++id) {
-      PROVLEDGER_RETURN_NOT_OK(dec.GetString(&names_[id]));
+void InternTable::Open(std::vector<std::shared_ptr<const EntryColumn>> columns) {
+  *this = InternTable();
+  columns_ = std::move(columns);
+  for (const auto& column : columns_) base_count_ += column->size();
+  index_ready_ = base_count_ == 0;
+}
+
+void InternTable::EnsureIndex() const {
+  if (index_ready_) return;
+  views_.clear();
+  views_.reserve(size());
+  for (const auto& column : columns_) {
+    for (size_t i = 0; i < column->size(); ++i) {
+      views_.push_back(column->name(i));
     }
-    return dec.AtEnd() ? Status::OK()
-                       : Status::Corruption("trailing intern-table bytes");
-  }();
-  // The slice sat under the snapshot's load-time checksum; failure = bug.
-  assert(hydrated.ok());
-  (void)hydrated;
-}
-
-void InternTable::EnsureMap() const {
-  if (map_ready_) return;
-  ids_.reserve(names_.size());
-  for (uint32_t id = 0; id < names_.size(); ++id) {
-    ids_.emplace(names_[id], id);
   }
-  map_ready_ = true;
-}
-
-void InternTable::SaveTo(Encoder* enc) const {
-  if (!lazy_names_.empty()) {
-    // Never materialized since its own load: the section passes through.
-    enc->PutU32(static_cast<uint32_t>(lazy_names_.length));
-    enc->PutRaw(lazy_names_.data(), lazy_names_.length);
-    return;
-  }
-  Encoder payload;
-  payload.PutU32(static_cast<uint32_t>(names_.size()));
-  for (const auto& name : names_) payload.PutString(name);
-  enc->PutU32(static_cast<uint32_t>(payload.size()));
-  enc->PutRaw(payload.buffer());
-}
-
-Status InternTable::LoadFrom(Decoder* dec,
-                             const std::shared_ptr<const Bytes>& backing) {
-  names_.clear();
+  for (const std::string& name : owned_) views_.push_back(name);
   ids_.clear();
-  PROVLEDGER_RETURN_NOT_OK(GetSlice(dec, backing, &lazy_names_));
-  Decoder peek(lazy_names_.data(), lazy_names_.length);
-  uint32_t n = 0;
-  PROVLEDGER_RETURN_NOT_OK(peek.GetU32(&n));
-  lazy_count_ = n;
-  if (n == 0) lazy_names_.clear();  // nothing to hydrate later
-  map_ready_ = n == 0;
-  return Status::OK();
+  ids_.reserve(views_.size());
+  for (uint32_t id = 0; id < views_.size(); ++id) ids_.emplace(views_[id], id);
+  index_ready_ = true;
 }
 
 }  // namespace prov

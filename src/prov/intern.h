@@ -10,21 +10,26 @@
 // them directly usable as vector indexes (CSR-style adjacency) and bitset
 // positions.
 //
+// A table opened over row-group name columns (prov/row_group.h) copies no
+// string: names stay in the shared group buffers, and the lookup index of
+// string views into them builds on the first lookup.
+//
 // Thread safety: NOT internally synchronized. Intern() mutates; const
-// lookups hydrate lazy state on first use. After Warm() — and with no
+// lookups build the lazy index on first use. After Warm() — and with no
 // further Intern() — const reads are safe from many threads.
 
 #ifndef PROVLEDGER_PROV_INTERN_H_
 #define PROVLEDGER_PROV_INTERN_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "common/codec.h"
-#include "prov/lazy_slice.h"
+#include "prov/row_group.h"
 
 namespace provledger {
 namespace prov {
@@ -35,58 +40,53 @@ class InternTable {
   /// Sentinel returned by Find() for unknown strings.
   static constexpr uint32_t kNone = 0xFFFFFFFFu;
 
+  InternTable() = default;
+  /// Copies re-point their index at their own names (the index holds views).
+  InternTable(const InternTable& other);
+  InternTable& operator=(const InternTable& other);
+  InternTable(InternTable&&) = default;
+  InternTable& operator=(InternTable&&) = default;
+
   /// Id for `s`, interning it if new. Ids are dense: the first distinct
   /// string gets 0, the next 1, and so on.
-  uint32_t Intern(const std::string& s);
+  uint32_t Intern(std::string_view s);
 
   /// Id for `s`, or kNone if it was never interned.
-  uint32_t Find(const std::string& s) const;
+  uint32_t Find(std::string_view s) const;
 
-  /// The string for a previously returned id. The reference is invalidated
-  /// by the next Intern() call.
-  const std::string& Name(uint32_t id) const {
-    EnsureNames();
-    return names_[id];
+  /// The string for a previously returned id; valid while the table lives.
+  std::string_view Name(uint32_t id) const {
+    EnsureIndex();
+    return views_[id];
   }
 
   /// Number of distinct strings interned.
-  size_t size() const {
-    return lazy_names_.empty() ? names_.size() : lazy_count_;
-  }
+  size_t size() const { return base_count_ + owned_.size(); }
 
-  /// \brief Force both deferred structures (name vector, reverse hash
-  /// map) to materialize now. After Warm() — and with no Intern() calls
-  /// afterwards — every const method is a pure read and safe to call from
-  /// many threads concurrently.
-  void Warm() const {
-    EnsureNames();
-    EnsureMap();
-  }
+  /// \brief Build the lazy lookup index now. After Warm() — and with no
+  /// Intern() calls afterwards — every const method is a pure read and
+  /// safe to call from many threads concurrently.
+  void Warm() const { EnsureIndex(); }
 
-  /// \name Snapshot serialization (graph persistence).
-  /// Ids are dense and first-seen ordered, so the name vector alone is the
-  /// whole table, written as one `[u32 len][u32 count][strings]` section.
-  /// LoadFrom keeps the section as a zero-copy slice: the name vector
-  /// materializes on the first Name() / Find() / Intern(), and the reverse
-  /// hash map on the first Find()/Intern() — a restored store that never
-  /// looks a string up pays for neither.
-  /// @{
-  void SaveTo(Encoder* enc) const;
-  Status LoadFrom(Decoder* dec, const std::shared_ptr<const Bytes>& backing);
-  /// @}
+  /// \brief Replace the table by the names of `columns`, concatenated in
+  /// order (ids follow the entries). Each column is an immutable name (or
+  /// record) column of a shared row group, which the table pins; O(number
+  /// of columns).
+  void Open(std::vector<std::shared_ptr<const EntryColumn>> columns);
 
  private:
-  /// Decode names_ from the deferred slice. Runs under the snapshot's
-  /// load-time checksum, so failure is a bug; names load empty then.
-  void EnsureNames() const;
-  /// Build ids_ from names_ if a snapshot load deferred it.
-  void EnsureMap() const;
+  /// Build views_ + ids_ over the base columns and owned names.
+  void EnsureIndex() const;
 
-  mutable std::unordered_map<std::string, uint32_t> ids_;
-  mutable bool map_ready_ = true;
-  mutable std::vector<std::string> names_;
-  mutable LazySlice lazy_names_;
-  size_t lazy_count_ = 0;
+  /// Base names (ids [0, base_count_)), from Open().
+  std::vector<std::shared_ptr<const EntryColumn>> columns_;
+  size_t base_count_ = 0;
+  /// Names interned in memory (ids from base_count_); a deque so the views
+  /// into its strings survive growth.
+  std::deque<std::string> owned_;
+  mutable std::vector<std::string_view> views_;
+  mutable std::unordered_map<std::string_view, uint32_t> ids_;
+  mutable bool index_ready_ = true;
 };
 
 }  // namespace prov

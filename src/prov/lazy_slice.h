@@ -1,7 +1,8 @@
 // LazySlice: a zero-copy view into a shared snapshot buffer whose decoding
-// is deferred until first use. The whole snapshot body is checksummed at
-// load time (common/hash64.h), so slices can be handed out without
-// re-verification; holding a slice pins the backing buffer alive.
+// is deferred until first use (the store's rec/ index section). The whole
+// snapshot body is checksummed at load time (common/hash64.h), so slices
+// can be handed out without re-verification; holding a slice pins the
+// backing buffer alive.
 //
 // Thread safety: thread-compatible value type over an immutable shared
 // buffer — concurrent const reads of one slice are safe; mutation

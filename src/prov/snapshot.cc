@@ -5,14 +5,7 @@ namespace prov {
 
 Result<SnapshotReader> GraphSnapshot::OpenReader() const {
   SnapshotReader reader(epoch_, chain_height_);
-  // The body was produced by SaveTo on the publishing thread, so LoadFrom
-  // failing here means a serialization bug, not user error — surface it
-  // loudly rather than asserting so callers can fail their read cleanly.
-  Decoder dec(*body_);
-  PROVLEDGER_RETURN_NOT_OK(reader.graph_.LoadFrom(&dec, body_));
-  if (!dec.AtEnd()) {
-    return Status::Corruption("trailing bytes in graph snapshot body");
-  }
+  reader.graph_.Open(image_);
   return reader;
 }
 

@@ -1,15 +1,20 @@
 // Snapshot-isolated reads: an epoch-tagged, immutable view of the
 // provenance graph that readers query while the writer keeps appending.
 //
-// The scheme builds on the LazySlice snapshot machinery from the
-// durability layer instead of copying the graph: publishing an epoch
-// serializes the live graph once into a single immutable buffer
-// (ProvenanceGraph::SaveTo), and every reader *thread* opens its own
-// cheap ProvenanceGraph over that shared buffer (LoadFrom) — a few bulk
-// array reads up front, with adjacency/postings/records hydrating lazily
-// into reader-private state only when a query actually touches them. No
-// lock is ever taken on the read path: acquiring the current snapshot is
-// one atomic shared_ptr load, and everything behind it is immutable.
+// An epoch is a GraphImage (prov/row_group.h): the graph's append-only row
+// groups plus a small header (invalidations, edge/subject counters).
+// Publishing encodes only the rows committed since the last publication
+// into the writer's open row group, seals that group once it holds
+// kRowGroupRows rows, and hands the epoch the sealed groups by shared_ptr
+// plus a copy of the open group — O(new rows + one group), not O(graph).
+// Consecutive epochs therefore share every sealed group's memory. Every
+// reader *thread* opens its own cheap ProvenanceGraph over the image
+// (O(groups), no per-record work); records decode and the derived indexes
+// (postings, usage adjacency, derivations, the global time index) rebuild
+// from the groups' columns into reader-private state only when a query
+// actually touches them. No lock is ever taken on the read path:
+// acquiring the current snapshot is one atomic shared_ptr load, and
+// everything behind it is immutable.
 //
 //   writer (committer thread)            readers (any threads)
 //   ─────────────────────────            ─────────────────────
@@ -37,24 +42,23 @@ namespace prov {
 
 class SnapshotReader;
 
-/// \brief One published epoch of the provenance graph: an immutable,
-/// self-contained serialization bound to the chain position it was taken
-/// at.
+/// \brief One published epoch of the provenance graph: an immutable
+/// GraphImage bound to the chain position it was taken at.
 ///
 /// Thread safety: fully immutable after construction — every method is
 /// safe from any number of threads concurrently. Holding the shared_ptr
-/// keeps the epoch's buffer alive regardless of what the writer publishes
-/// next.
+/// keeps the epoch's row groups alive regardless of what the writer
+/// publishes next.
 class GraphSnapshot {
  public:
-  /// Built by ProvenanceStore::PublishSnapshot; `body` is a
-  /// ProvenanceGraph::SaveTo serialization.
-  GraphSnapshot(uint64_t epoch, uint64_t chain_height, size_t record_count,
-                std::shared_ptr<const Bytes> body)
+  /// Built by ProvenanceStore::PublishSnapshot from
+  /// ProvenanceGraph::Image().
+  GraphSnapshot(uint64_t epoch, uint64_t chain_height, GraphImage image)
       : epoch_(epoch),
         chain_height_(chain_height),
-        record_count_(record_count),
-        body_(std::move(body)) {}
+        image_(std::move(image)),
+        record_count_(image_.record_count()),
+        body_bytes_(image_.bytes()) {}
 
   /// Publication sequence number (1 = first publish; strictly increasing).
   uint64_t epoch() const { return epoch_; }
@@ -63,21 +67,27 @@ class GraphSnapshot {
   uint64_t chain_height() const { return chain_height_; }
   /// Records visible in this epoch.
   size_t record_count() const { return record_count_; }
-  /// Size of the serialized graph backing this epoch.
-  size_t body_bytes() const { return body_->size(); }
+  /// Every byte backing this epoch: all its row groups, shared ones
+  /// included, plus the header.
+  size_t body_bytes() const { return body_bytes_; }
+  /// The image itself (row groups + header).
+  const GraphImage& image() const { return image_; }
 
   /// \brief Open a reader over this epoch. Each reader owns a private
-  /// lazy graph view into the shared buffer, so a reader is cheap to open
-  /// (no record decoding up front) but is NOT itself thread-safe — open
-  /// one per reader thread, or call SnapshotReader::Warm() once and share
-  /// it read-only.
+  /// lazy graph view over the shared row groups, so a reader is cheap to
+  /// open (O(groups), no record decoding up front) but is NOT itself
+  /// thread-safe — open one per reader thread, or call
+  /// SnapshotReader::Warm() once and share it read-only. Never fails on an
+  /// image the store published; the Result is kept for callers that treat
+  /// opening as fallible.
   Result<SnapshotReader> OpenReader() const;
 
  private:
   uint64_t epoch_;
   uint64_t chain_height_;
+  GraphImage image_;
   size_t record_count_;
-  std::shared_ptr<const Bytes> body_;
+  size_t body_bytes_;
 };
 
 /// \brief A queryable view of one snapshot epoch.
@@ -107,7 +117,7 @@ class SnapshotReader {
   /// snapshot.
   const ProvenanceGraph& graph() const { return graph_; }
 
-  /// Materialize everything now (records, postings, intern maps). Trades
+  /// Materialize everything now (records, indexes, intern maps). Trades
   /// the lazy open for concurrent shareability and Query::Parallel
   /// eligibility — see ProvenanceGraph::Warm.
   void Warm() { graph_.Warm(); }

@@ -12,7 +12,11 @@ namespace {
 // Snapshot file: magic, then a checksum-framed body (torn or bit-rotted
 // snapshots are detected before any state is replaced; Hash64 keeps the
 // verification cheap on multi-megabyte bodies).
-constexpr char kSnapshotMagic[8] = {'P', 'L', 'S', 'N', 'A', 'P', '0', '2'};
+constexpr char kSnapshotMagic[8] = {'P', 'L', 'S', 'N', 'A', 'P', '0', '3'};
+// The whole-graph serialization that row groups replaced. Such a file is a
+// cache miss (rebuild from the chain), not corruption.
+constexpr char kRetiredSnapshotMagic[8] = {'P', 'L', 'S', 'N',
+                                           'A', 'P', '0', '2'};
 }  // namespace
 
 ProvenanceStore::ProvenanceStore(ledger::Blockchain* chain, Clock* clock,
@@ -28,6 +32,12 @@ ProvenanceStore::ProvenanceStore(ledger::Blockchain* chain, Clock* clock,
   query_seconds_ = registry_->GetHistogram(
       "query_exec_seconds", "End-to-end Execute() latency",
       obs::LatencyBuckets());
+  publish_seconds_ = registry_->GetHistogram(
+      "snapshot_publish_seconds", "Epoch publication latency",
+      obs::LatencyBuckets());
+  publish_bytes_ = registry_->GetHistogram(
+      "snapshot_publish_bytes",
+      "Bytes one epoch publication encodes or copies", obs::SizeBuckets());
 }
 
 std::string ProvenanceStore::OnChainAgentId(const std::string& agent) const {
@@ -295,12 +305,13 @@ Status ProvenanceStore::PublishSnapshot() {
 }
 
 Status ProvenanceStore::PublishSnapshotAt(uint64_t reflected_height) {
-  Encoder body;
-  graph_.SaveTo(&body);
-  auto bytes = std::make_shared<const Bytes>(body.TakeBuffer());
+  obs::ScopedTimer timer(publish_seconds_);
+  size_t written = 0;
+  GraphImage image = graph_.Image(&written);
+  publish_bytes_->Observe(static_cast<double>(written));
   const uint64_t epoch = snapshot_epoch_.load(std::memory_order_relaxed) + 1;
   auto snapshot = std::make_shared<const GraphSnapshot>(
-      epoch, reflected_height, graph_.record_count(), std::move(bytes));
+      epoch, reflected_height, std::move(image));
   // Pointer first, counter second: a reader that observes epoch N can
   // always acquire a snapshot at least that fresh.
   std::atomic_store(&snapshot_, std::move(snapshot));
@@ -496,7 +507,7 @@ Status ProvenanceStore::SaveSnapshot(const std::string& path) const {
   body.PutRaw(crypto::DigestToBytes(head_hash.value()));
   body.PutU64(nonce_);
   body.PutU64(anchored_count_);
-  graph_.SaveTo(&body);
+  graph_.Image().EncodeTo(&body);
 
   // rec/ index as one length-prefixed section. If this store itself was
   // snapshot-restored and never needed the index, its raw section passes
@@ -527,13 +538,16 @@ Status ProvenanceStore::SaveSnapshot(const std::string& path) const {
 
 Status ProvenanceStore::LoadSnapshot(const std::string& path) {
   PROVLEDGER_ASSIGN_OR_RETURN(Bytes data_owned, ReadFileToBytes(path));
-  // The buffer is shared: the graph and index keep zero-copy slices into
-  // it, deferring their decoding to first use; the last hydration drops
-  // the final reference.
+  // The buffer is shared: the rec/ index keeps a zero-copy slice into it,
+  // deferring its decoding to first use.
   auto data = std::make_shared<const Bytes>(std::move(data_owned));
   Decoder file(*data);
   Bytes magic;
   PROVLEDGER_RETURN_NOT_OK(file.GetRaw(sizeof(kSnapshotMagic), &magic));
+  if (std::equal(magic.begin(), magic.end(), kRetiredSnapshotMagic)) {
+    return Status::FailedPrecondition(
+        "snapshot uses a retired format; rebuild from the chain: " + path);
+  }
   if (!std::equal(magic.begin(), magic.end(), kSnapshotMagic)) {
     return Status::Corruption("not a provenance snapshot: " + path);
   }
@@ -580,10 +594,14 @@ Status ProvenanceStore::LoadSnapshot(const std::string& path) {
   uint64_t nonce = 0, anchored = 0;
   PROVLEDGER_RETURN_NOT_OK(dec.GetU64(&nonce));
   PROVLEDGER_RETURN_NOT_OK(dec.GetU64(&anchored));
+  // Decoding validates every row group, so a corrupt body fails here,
+  // before any state is replaced.
+  GraphImage image;
+  PROVLEDGER_RETURN_NOT_OK(GraphImage::DecodeFrom(&dec, &image));
 
   ResetState();
   Status loaded = [&]() -> Status {
-    PROVLEDGER_RETURN_NOT_OK(graph_.LoadFrom(&dec, data));
+    graph_.Open(image);
     PROVLEDGER_RETURN_NOT_OK(GetSlice(&dec, data, &lazy_index_));
     // Sanity before deferring: the section's entry count must match the
     // graph (full parsing waits for the first proof/audit/anchor).

@@ -23,6 +23,7 @@
 #include "ledger/chain.h"
 #include "obs/metrics.h"
 #include "prov/graph.h"
+#include "prov/lazy_slice.h"
 #include "prov/snapshot.h"
 #include "storage/kv_store.h"
 
@@ -162,12 +163,14 @@ class ProvenanceStore {
   /// and query away while writes continue. See prov/snapshot.h for the
   /// full model.
   /// @{
-  /// Serialize the current graph into a new immutable epoch and publish
-  /// it. Writer/committer thread only (it reads live graph state); the
-  /// publication itself is an atomic pointer swap, so readers never see a
-  /// half-built snapshot. Cost is O(graph) — amortize by publishing per
-  /// batch group, not per record (IngestPipelineOptions::
-  /// snapshot_every_batches).
+  /// Publish the current graph as a new immutable epoch. Writer/committer
+  /// thread only (it reads live graph state); the publication itself is an
+  /// atomic pointer swap, so readers never see a half-built snapshot. Cost
+  /// is O(rows committed since the last publication + one row group): the
+  /// new rows are encoded into the open row group, sealed groups are
+  /// shared with earlier epochs and only the open group is copied (see
+  /// prov/snapshot.h). Each call records `snapshot_publish_seconds` and
+  /// `snapshot_publish_bytes` (bytes encoded or copied) in the registry.
   Status PublishSnapshot();
   /// Latest published epoch, or nullptr before the first publication.
   /// Wait-free; safe from any thread. The returned snapshot stays valid
@@ -255,9 +258,10 @@ class ProvenanceStore {
   Status RebuildFromChain();
 
   /// \name Snapshot persistence (durable restart path).
-  /// A snapshot serializes the store's derived state — the dense-id graph,
-  /// the rec/ index, anchored count and nonce — bound to the chain position
-  /// it was taken at (height + block hash). Restart = LoadSnapshot + replay
+  /// A snapshot serializes the store's derived state — the graph's row
+  /// groups (the same GraphImage an epoch publishes), the rec/ index,
+  /// anchored count and nonce — bound to the chain position it was taken
+  /// at (height + block hash). Restart = LoadSnapshot + replay
   /// of the short chain tail past the snapshot height, instead of a full
   /// O(chain) RebuildFromChain. Only anchored state is covered: pending
   /// (unflushed) records are not on the chain and not in the snapshot, so
@@ -268,14 +272,16 @@ class ProvenanceStore {
   Status SaveSnapshot(const std::string& path) const;
   /// Restore from a snapshot, then replay chain blocks past the snapshot
   /// height. FailedPrecondition when the snapshot was taken on a different
-  /// chain (block hash mismatch) or past this chain's height — callers
-  /// should fall back to RebuildFromChain (see Recover). If an epoch was
+  /// chain (block hash mismatch), past this chain's height, or in a
+  /// retired file format — callers should fall back to RebuildFromChain
+  /// (see Recover). Corruption for an unknown magic, a checksum mismatch
+  /// or a row group that fails validation (prov/row_group.h). If an epoch was
   /// ever published, a fresh one is published afterwards — from the
   /// restored state on success, or from the reset (empty) state when a
   /// failure struck after the restore began mutating state — so readers
   /// never keep acquiring pre-restore state. Failures detected before any
-  /// mutation (bad magic/checksum, wrong chain, bad height) leave both
-  /// the store and the published epoch untouched.
+  /// mutation (bad magic/checksum, wrong chain, bad height, invalid row
+  /// groups) leave both the store and the published epoch untouched.
   Status LoadSnapshot(const std::string& path);
   /// Restart entry point: LoadSnapshot if `snapshot_path` holds a usable
   /// snapshot for this chain, otherwise a full RebuildFromChain. Corrupt
@@ -314,8 +320,8 @@ class ProvenanceStore {
   Status EnsureIndexLoaded() const;
   /// AlreadyExists if `record_id` is anchored or buffered for anchoring.
   Status CheckNotAnchored(const std::string& record_id) const;
-  /// Serialize the current graph into a new epoch stamped as reflecting
-  /// the chain up to `reflected_height` (PublishSnapshot passes the chain
+  /// Publish the current graph as a new epoch stamped as reflecting the
+  /// chain up to `reflected_height` (PublishSnapshot passes the chain
   /// head; restore paths pass the height actually replayed).
   Status PublishSnapshotAt(uint64_t reflected_height);
   /// If an epoch was ever published, publish a fresh one from current
@@ -338,6 +344,8 @@ class ProvenanceStore {
   obs::Registry* registry_;
   obs::Counter* query_plans_[6] = {};  // indexed by QueryIndex
   obs::Histogram* query_seconds_;
+  obs::Histogram* publish_seconds_;
+  obs::Histogram* publish_bytes_;
   ProvenanceGraph graph_;
   // "rec/<id>" -> txid bytes. After LoadSnapshot the entries wait as a
   // zero-copy snapshot slice until the first proof/audit/anchor needs them.

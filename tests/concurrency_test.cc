@@ -6,6 +6,9 @@
 //   * writer vs many readers over published snapshot epochs: readers see
 //     only fully-committed state, monotone epochs, contiguous per-subject
 //     prefixes, and an acquired epoch never moves underneath them,
+//   * row-group epochs: pinned epochs keep exactly their rows while the
+//     writer seals groups, consecutive epochs share sealed groups, and a
+//     reader answers every query kind exactly like the live graph,
 //   * parallel query execution: bit-identical results to serial runs,
 //   * the prepared-block fast path: byte-identical blocks to Append.
 //
@@ -13,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -272,6 +276,237 @@ TEST_F(ConcurrencyTest, SnapshotSupportsLineageAndInvalidity) {
   EXPECT_EQ(lineage[0], "derived-1");
 }
 
+// -- Row-group epochs --------------------------------------------------------
+
+// Chains of 50 records over out-of-order timestamps (with ties): record i
+// derives from the outputs of i-1 and i-2 in its chain, so invalidating one
+// record cascades down the rest of its chain only.
+ProvenanceRecord ChainRec(size_t i) {
+  ProvenanceRecord rec = Rec(i, 97, 7);
+  rec.timestamp = 2'000'000 + static_cast<Timestamp>((i * 7919) % 5003);
+  rec.outputs = {"out-" + std::to_string(i)};
+  if (i % 50 >= 1) rec.inputs.push_back("out-" + std::to_string(i - 1));
+  if (i % 50 >= 2) rec.inputs.push_back("out-" + std::to_string(i - 2));
+  return rec;
+}
+
+void AddChainRecs(ProvenanceGraph* graph, size_t from, size_t to) {
+  for (size_t i = from; i < to; ++i) {
+    ASSERT_TRUE(graph->AddRecord(ChainRec(i)).ok());
+  }
+}
+
+void ExpectSameResults(const QueryResult& serial, const QueryResult& parallel) {
+  EXPECT_EQ(serial.count, parallel.count);
+  EXPECT_EQ(serial.index_used, parallel.index_used);
+  ASSERT_EQ(serial.records.size(), parallel.records.size());
+  for (size_t i = 0; i < serial.records.size(); ++i) {
+    EXPECT_EQ(serial.records[i].record_id, parallel.records[i].record_id);
+  }
+}
+
+std::vector<std::string> Ids(const QueryResult& result) {
+  std::vector<std::string> ids;
+  for (const auto& rec : result.records) ids.push_back(rec.record_id);
+  return ids;
+}
+
+TEST(RowGroupEpochTest, PinnedEpochKeepsExactlyItsRecords) {
+  constexpr size_t kPinned = 1000;
+  ProvenanceGraph graph;
+  AddChainRecs(&graph, 0, kPinned);
+  GraphSnapshot pinned(1, 0, graph.Image());
+  auto early = pinned.OpenReader();  // opened before the writer moves on
+  ASSERT_TRUE(early.ok());
+
+  // Two groups' worth of rows: the pinned epoch's open group gets sealed
+  // and a second group fills behind it.
+  AddChainRecs(&graph, kPinned, kPinned + 2 * kRowGroupRows);
+  GraphSnapshot next(2, 0, graph.Image());
+  EXPECT_EQ(next.image().groups.size(), 3u);
+  auto late = pinned.OpenReader();  // opened after
+  ASSERT_TRUE(late.ok());
+
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < kPinned; ++i) {
+    expected.push_back("rec-" + std::to_string(i));
+  }
+  std::sort(expected.begin(), expected.end());
+  for (const SnapshotReader* reader : {&early.value(), &late.value()}) {
+    EXPECT_EQ(reader->graph().record_count(), kPinned);
+    std::vector<std::string> ids = Ids(reader->Execute(Query()));
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, expected);
+    EXPECT_FALSE(reader->graph().HasRecord("rec-" + std::to_string(kPinned)));
+    EXPECT_EQ(reader->graph().Lineage("out-" + std::to_string(kPinned)),
+              std::vector<std::string>{});
+  }
+  auto newest = next.OpenReader();
+  ASSERT_TRUE(newest.ok());
+  EXPECT_EQ(newest->Execute(Query().CountOnly()).count,
+            kPinned + 2 * kRowGroupRows);
+}
+
+TEST(RowGroupEpochTest, ConsecutiveEpochsShareSealedGroups) {
+  ProvenanceGraph graph;
+  AddChainRecs(&graph, 0, kRowGroupRows + 10);
+  GraphImage first = graph.Image();
+  AddChainRecs(&graph, kRowGroupRows + 10, kRowGroupRows + 20);
+  size_t written = 0;
+  GraphImage second = graph.Image(&written);
+
+  ASSERT_EQ(first.groups.size(), 2u);
+  ASSERT_EQ(second.groups.size(), 2u);
+  // The sealed group is one buffer shared by both epochs; the open group
+  // is each epoch's own copy.
+  EXPECT_EQ(first.groups[0].get(), second.groups[0].get());
+  EXPECT_NE(first.groups[1].get(), second.groups[1].get());
+  EXPECT_EQ(first.groups[1]->rows(), 10u);
+  EXPECT_EQ(second.groups[1]->rows(), 20u);
+  // Publishing ten rows encodes ten rows and copies a 20-row group.
+  EXPECT_LT(written, first.groups[0]->bytes() / 100);
+  EXPECT_EQ(second.record_count(), kRowGroupRows + 20);
+}
+
+TEST(RowGroupEpochTest, ReaderMatchesLiveGraphForEveryQueryKind) {
+  constexpr size_t kRecords = kRowGroupRows + 3000;
+  ProvenanceGraph live;
+  AddChainRecs(&live, 0, kRecords);
+  auto cascade = live.Invalidate("rec-1210", 2'500'000, "bad calibration");
+  ASSERT_TRUE(cascade.ok());
+  ASSERT_EQ(cascade->size(), 40u);  // rec-1210 .. rec-1249
+
+  GraphSnapshot snapshot(1, 0, live.Image());
+  auto opened = snapshot.OpenReader();
+  ASSERT_TRUE(opened.ok());
+  SnapshotReader& reader = opened.value();
+  const ProvenanceGraph& view = reader.graph();
+
+  std::vector<Query> queries;
+  queries.push_back(Query().WithSubject("entity-5"));
+  queries.push_back(Query().WithSubject("entity-96").Descending().Limit(7));
+  queries.push_back(Query().WithAgent("agent-3"));
+  queries.push_back(Query().WithAgent("agent-1").Offset(100).Limit(50));
+  queries.push_back(Query().Between(2'001'000, 2'001'400));
+  queries.push_back(Query().Between(2'000'000, 2'000'010).Descending());
+  queries.push_back(Query().WithInput("out-16400"));
+  queries.push_back(Query().WithOutput("out-16384"));
+  queries.push_back(Query().WithOperation("update"));
+  queries.push_back(Query().WithField("seq", "17000"));
+  queries.push_back(Query().OnlyValid().WithSubject("entity-46"));
+  queries.push_back(Query().OnlyInvalidated());
+  queries.push_back(Query().OnlyValid().CountOnly());
+  queries.push_back(Query().WithSubjectPrefix("entity-1").CountOnly());
+  for (const Query& q : queries) {
+    QueryResult want = live.Run(q);
+    QueryResult got = reader.Execute(q);
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.index_used, want.index_used);
+    EXPECT_EQ(Ids(got), Ids(want));
+  }
+
+  for (const char* entity : {"out-0", "out-49", "out-1225", "out-16390"}) {
+    EXPECT_EQ(view.Lineage(entity), live.Lineage(entity)) << entity;
+    EXPECT_EQ(view.Descendants(entity), live.Descendants(entity)) << entity;
+  }
+  EXPECT_EQ(view.record_count(), live.record_count());
+  EXPECT_EQ(view.entity_count(), live.entity_count());
+  EXPECT_EQ(view.edge_count(), live.edge_count());
+  EXPECT_EQ(view.agent_count(), live.agent_count());
+  EXPECT_EQ(view.subject_count(), live.subject_count());
+  EXPECT_EQ(view.SubjectRecordCount("entity-7"),
+            live.SubjectRecordCount("entity-7"));
+  EXPECT_EQ(view.AgentRecordCount("agent-6"), live.AgentRecordCount("agent-6"));
+  EXPECT_EQ(view.EntityUseCount("out-100"), live.EntityUseCount("out-100"));
+  EXPECT_EQ(view.EntityGenerationCount("entity-3"),
+            live.EntityGenerationCount("entity-3"));
+  EXPECT_EQ(view.InRangeCount(2'000'100, 2'003'000),
+            live.InRangeCount(2'000'100, 2'003'000));
+
+  EXPECT_EQ(view.invalidated_count(), live.invalidated_count());
+  EXPECT_TRUE(view.IsInvalidated("rec-1230"));
+  EXPECT_FALSE(view.IsInvalidated("rec-1250"));
+  auto inv = view.GetInvalidation("rec-1230");
+  ASSERT_TRUE(inv.ok());
+  EXPECT_EQ(inv->record_id, "rec-1230");
+  EXPECT_TRUE(inv->cascaded);
+  EXPECT_EQ(inv->reason, "bad calibration");
+  EXPECT_EQ(view.ReexecutionSet("rec-1300"), live.ReexecutionSet("rec-1300"));
+  auto rec = view.GetRecord("rec-16500");
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec->Encode(), live.GetRecord("rec-16500")->Encode());
+
+  // A later invalidation does not reach the published epoch.
+  ASSERT_TRUE(live.Invalidate("rec-5", 2'600'000, "late").ok());
+  EXPECT_FALSE(view.IsInvalidated("rec-5"));
+
+  // Warmed, the reader serves parallel scans with serial results.
+  reader.Warm();
+  for (Query q : queries) {
+    const QueryResult serial = reader.Execute(q);
+    q.Parallel(4);
+    ExpectSameResults(serial, reader.Execute(q));
+  }
+}
+
+TEST_F(ConcurrencyTest, ReadersQueryOldAndNewEpochsWhileWriterSealsAndPublishes) {
+  constexpr size_t kSubjects = 150;
+  constexpr size_t kBatch = 512;
+  constexpr size_t kRecords = kRowGroupRows + 4 * kBatch;
+  ASSERT_TRUE(store_.AnchorBatch({Rec(0, kSubjects, 8)}).ok());
+  ASSERT_TRUE(store_.PublishSnapshot().ok());
+  auto first = store_.AcquireSnapshot();
+
+  // Every epoch holds records 0..n-1, so subject s sees exactly the seqs
+  // s, s + 150, ... below n.
+  auto check_epoch = [&](const SnapshotReader& reader, size_t n,
+                         size_t subject) {
+    EXPECT_EQ(reader.Execute(Query().CountOnly()).count, n);
+    auto history = reader.Execute(
+        Query().WithSubject("entity-" + std::to_string(subject)));
+    size_t expected = subject;
+    for (const auto& rec : history.records) {
+      ASSERT_EQ(rec.fields.at("seq"), std::to_string(expected));
+      expected += kSubjects;
+    }
+    EXPECT_GE(expected, n);
+  };
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      auto old_reader = first->OpenReader();
+      ASSERT_TRUE(old_reader.ok());
+      size_t round = r;
+      while (!stop.load(std::memory_order_acquire)) {
+        auto snapshot = store_.AcquireSnapshot();
+        auto reader = snapshot->OpenReader();
+        ASSERT_TRUE(reader.ok());
+        check_epoch(*reader, snapshot->record_count(), round % kSubjects);
+        check_epoch(*old_reader, 1, 0);
+        ++round;
+      }
+    });
+  }
+
+  for (size_t done = 1; done < kRecords; done += kBatch) {
+    std::vector<ProvenanceRecord> batch;
+    for (size_t i = done; i < std::min(kRecords, done + kBatch); ++i) {
+      batch.push_back(Rec(i, kSubjects, 8));
+    }
+    ASSERT_TRUE(store_.AnchorBatch(batch).ok());
+    ASSERT_TRUE(store_.PublishSnapshot().ok());
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+
+  auto last = store_.AcquireSnapshot();
+  EXPECT_EQ(last->record_count(), kRecords);
+  EXPECT_EQ(last->image().groups.size(), 2u);
+  EXPECT_EQ(first->record_count(), 1u);
+}
+
 // -- Parallel query execution ------------------------------------------------
 
 class ParallelQueryTest : public ::testing::Test {
@@ -286,15 +521,6 @@ class ParallelQueryTest : public ::testing::Test {
   }
   ProvenanceGraph graph_;
 };
-
-void ExpectSameResults(const QueryResult& serial, const QueryResult& parallel) {
-  EXPECT_EQ(serial.count, parallel.count);
-  EXPECT_EQ(serial.index_used, parallel.index_used);
-  ASSERT_EQ(serial.records.size(), parallel.records.size());
-  for (size_t i = 0; i < serial.records.size(); ++i) {
-    EXPECT_EQ(serial.records[i].record_id, parallel.records[i].record_id);
-  }
-}
 
 TEST_F(ParallelQueryTest, ParallelScanMatchesSerial) {
   // Residual predicates (operation, field) force a real per-candidate
@@ -361,15 +587,13 @@ TEST_F(ParallelQueryTest, ConcurrentParallelQueriesOnWarmedGraph) {
 }
 
 TEST_F(ParallelQueryTest, WarmedSnapshotReaderSupportsParallelQueries) {
-  Encoder enc;
-  graph_.SaveTo(&enc);
-  auto body = std::make_shared<const Bytes>(enc.TakeBuffer());
-  GraphSnapshot snapshot(1, 0, kRecords, body);
+  GraphSnapshot snapshot(1, 0, graph_.Image());
+  ASSERT_EQ(snapshot.record_count(), kRecords);
   auto reader = snapshot.OpenReader();
   ASSERT_TRUE(reader.ok());
 
-  // Lazily-loaded reader: parallel silently degrades to serial (records
-  // would race on hydration) but results are still correct.
+  // Lazily opened reader: parallel silently degrades to serial (records
+  // would race on first-touch decoding) but results are still correct.
   auto lazy = reader->Execute(Query().WithOperation("update").Parallel(4));
   EXPECT_EQ(lazy.count, (kRecords + 2) / 3);
 

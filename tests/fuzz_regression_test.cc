@@ -89,6 +89,10 @@ TEST(FuzzRegressionTest, Replication) {
   ReplayCorpus("replication", fuzz::FuzzReplication);
 }
 
+TEST(FuzzRegressionTest, StoreSnapshot) {
+  ReplayCorpus("store_snapshot", fuzz::FuzzStoreSnapshot);
+}
+
 // Degenerate inputs every harness must shrug off, independent of corpus
 // contents.
 TEST(FuzzRegressionTest, DegenerateInputsOnEveryHarness) {
@@ -101,6 +105,7 @@ TEST(FuzzRegressionTest, DegenerateInputsOnEveryHarness) {
       {"kv_segment", fuzz::FuzzKvSegment},
       {"chain_log", fuzz::FuzzChainLog},
       {"replication", fuzz::FuzzReplication},
+      {"store_snapshot", fuzz::FuzzStoreSnapshot},
   };
   const Bytes zeros(64, 0x00);
   const Bytes ones(64, 0xFF);

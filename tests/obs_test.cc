@@ -308,6 +308,36 @@ TEST_F(ExplainTest, ExecuteFeedsThePlanCountersAndSnapshot) {
   EXPECT_EQ(store_->registry(), &registry_);
 }
 
+using PublishMetricsTest = ExplainTest;
+
+TEST_F(PublishMetricsTest, EachPublishObservesLatencyAndBytesOnce) {
+  obs::Histogram* seconds = registry_.GetHistogram(
+      "snapshot_publish_seconds", "", obs::LatencyBuckets());
+  obs::Histogram* bytes = registry_.GetHistogram(
+      "snapshot_publish_bytes", "", obs::SizeBuckets());
+  EXPECT_EQ(seconds->count(), 0u);
+  EXPECT_EQ(bytes->count(), 0u);
+
+  ASSERT_TRUE(store_->PublishSnapshot().ok());
+  EXPECT_EQ(seconds->count(), 1u);
+  EXPECT_EQ(bytes->count(), 1u);
+  const double first = bytes->sum();
+  // The first epoch encodes all 64 records, then copies the open group.
+  EXPECT_GT(first, 0.0);
+
+  // Nothing new to encode: the second epoch only copies the open group.
+  ASSERT_TRUE(store_->PublishSnapshot().ok());
+  EXPECT_EQ(seconds->count(), 2u);
+  EXPECT_EQ(bytes->count(), 2u);
+  EXPECT_LT(bytes->sum() - first, first);
+
+  const std::string text =
+      store_->MetricsSnapshot(obs::ExpositionFormat::kPrometheusText);
+  EXPECT_NE(text.find("# TYPE snapshot_publish_seconds histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("snapshot_publish_bytes_count 2"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // Concurrency: cells are plain relaxed atomics — this run exists so the
 // TSan gate can prove there is no locking bug hiding in the hot path.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "prov/capture.h"
@@ -297,6 +299,61 @@ TEST_F(StoreTest, PrivacyModeHashesAgents) {
   // Deterministic pseudonym: queries via OnChainAgentId still work.
   EXPECT_EQ(anon.ByAgent(anon.OnChainAgentId("alice")).size(), 1u);
   EXPECT_TRUE(anon.ByAgent("alice").empty());
+}
+
+// Publishing the same 1000-record delta costs the same whether the graph
+// holds 10k or 100k records: only the new rows are encoded, and the open
+// row group copied, so the two differ by less than one group.
+TEST(SnapshotPublishCostTest, PublishBytesTrackNewRowsNotGraphSize) {
+  struct Published {
+    double delta_bytes = 0;  // snapshot_publish_bytes of the delta epoch
+    size_t group_bytes = 0;  // one sealed group, for the bound
+    size_t body_bytes = 0;
+  };
+  auto publish_delta = [](size_t base) {
+    obs::Registry registry;
+    ledger::ChainOptions chain_options;
+    chain_options.registry = &registry;
+    ledger::Blockchain chain(chain_options);
+    SimClock clock(1'000'000);
+    ProvenanceStoreOptions options;
+    options.registry = &registry;
+    ProvenanceStore store(&chain, &clock, options);
+    auto anchor = [&](size_t from, size_t to) {
+      std::vector<ProvenanceRecord> batch;
+      for (size_t i = from; i < to; ++i) {
+        ProvenanceRecord rec;
+        rec.record_id = "r" + std::to_string(i);
+        rec.operation = "step";
+        rec.subject = "s" + std::to_string(i % 100);
+        rec.agent = "a" + std::to_string(i % 8);
+        rec.timestamp = static_cast<Timestamp>(i);
+        batch.push_back(std::move(rec));
+      }
+      EXPECT_TRUE(store.AnchorBatch(batch).ok());
+    };
+    for (size_t done = 0; done < base; done += 10000) {
+      anchor(done, std::min(base, done + 10000));
+    }
+    EXPECT_TRUE(store.PublishSnapshot().ok());
+    obs::Histogram* bytes = registry.GetHistogram(
+        "snapshot_publish_bytes", "", obs::SizeBuckets());
+    const double before = bytes->sum();
+    anchor(base, base + 1000);
+    EXPECT_TRUE(store.PublishSnapshot().ok());
+    Published out;
+    out.delta_bytes = bytes->sum() - before;
+    auto epoch = store.AcquireSnapshot();
+    out.group_bytes = epoch->image().groups.front()->bytes();
+    out.body_bytes = epoch->body_bytes();
+    return out;
+  };
+  const Published small = publish_delta(10000);
+  const Published large = publish_delta(100000);
+  EXPECT_LT(std::abs(small.delta_bytes - large.delta_bytes),
+            static_cast<double>(large.group_bytes));
+  // And far below re-serializing the 101k-record graph.
+  EXPECT_LT(large.delta_bytes, static_cast<double>(large.body_bytes) / 4);
 }
 
 class CaptureTest : public ::testing::Test {

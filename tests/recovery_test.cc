@@ -528,6 +528,100 @@ TEST_F(RecoveryTest, CorruptSnapshotFailsLoudly) {
   EXPECT_TRUE(fresh.Recover(snapshot).IsCorruption());
 }
 
+TEST_F(RecoveryTest, RetiredSnapshotFormatIsAMissNotCorruption) {
+  const std::string snapshot = dir_ + "/store.snap";
+  ledger::Blockchain chain;
+  SimClock clock(1'000'000);
+  prov::ProvenanceStore store(&chain, &clock);
+  ASSERT_TRUE(store.Anchor(Rec("r1", "doc", "alice", 100)).ok());
+  ASSERT_TRUE(store.Anchor(Rec("r2", "doc", "bob", 200, {"doc"}, {"sum"}))
+                  .ok());
+  ASSERT_TRUE(store.SaveSnapshot(snapshot).ok());
+  auto saved = ReadFileToBytes(snapshot);
+  ASSERT_TRUE(saved.ok());
+  ASSERT_EQ(std::string(saved->begin(), saved->begin() + 8), "PLSNAP03");
+
+  // A file in the retired whole-graph format (magic PLSNAP02) is a cache
+  // miss: LoadSnapshot refuses it as stale and Recover rebuilds from the
+  // chain instead of failing.
+  Bytes retired = saved.value();
+  retired[7] = '2';
+  ASSERT_TRUE(WriteFileAtomic(snapshot, retired).ok());
+  prov::ProvenanceStore fresh(&chain, &clock);
+  EXPECT_TRUE(fresh.LoadSnapshot(snapshot).IsFailedPrecondition());
+  EXPECT_EQ(fresh.anchored_count(), 0u);
+  ASSERT_TRUE(fresh.Recover(snapshot).ok());
+  EXPECT_EQ(fresh.anchored_count(), 2u);
+  EXPECT_EQ(fresh.Lineage("sum"), std::vector<std::string>{"doc"});
+
+  // An unknown magic is still corruption, as is a checksum mismatch.
+  Bytes unknown = saved.value();
+  unknown[0] = 'X';
+  ASSERT_TRUE(WriteFileAtomic(snapshot, unknown).ok());
+  prov::ProvenanceStore other(&chain, &clock);
+  EXPECT_TRUE(other.LoadSnapshot(snapshot).IsCorruption());
+  EXPECT_TRUE(other.Recover(snapshot).IsCorruption());
+  Bytes flipped = saved.value();
+  flipped.back() ^= 0x01;
+  ASSERT_TRUE(WriteFileAtomic(snapshot, flipped).ok());
+  EXPECT_TRUE(other.LoadSnapshot(snapshot).IsCorruption());
+}
+
+TEST_F(RecoveryTest, SnapshotRoundTripsRowGroupsAndKeepsPublishing) {
+  // Spans a sealed row group plus a partly filled one, so the restored
+  // store resumes filling the loaded open group.
+  const std::string snapshot = dir_ + "/store.snap";
+  ledger::Blockchain chain;
+  SimClock clock(1'000'000);
+  prov::ProvenanceStore store(&chain, &clock);
+  const size_t kRecords = prov::kRowGroupRows + 100;
+  auto rec = [](size_t i) {
+    return Rec("r" + std::to_string(i), "s" + std::to_string(i % 13),
+               "a" + std::to_string(i % 5), static_cast<Timestamp>(i),
+               i > 0 ? std::vector<std::string>{"e" + std::to_string(i - 1)}
+                     : std::vector<std::string>{},
+               {"e" + std::to_string(i)});
+  };
+  std::vector<prov::ProvenanceRecord> batch;
+  for (size_t i = 0; i < kRecords; ++i) {
+    batch.push_back(rec(i));
+    if (batch.size() == 4096 || i + 1 == kRecords) {
+      ASSERT_TRUE(store.AnchorBatch(batch).ok());
+      batch.clear();
+    }
+  }
+  ASSERT_TRUE(store.mutable_graph()->Invalidate("r40", 1, "drift").ok());
+  ASSERT_TRUE(store.SaveSnapshot(snapshot).ok());
+  ASSERT_TRUE(store.Anchor(rec(kRecords)).ok());  // tail past the snapshot
+
+  prov::ProvenanceStore restored(&chain, &clock);
+  ASSERT_TRUE(restored.LoadSnapshot(snapshot).ok());
+  EXPECT_EQ(restored.anchored_count(), kRecords + 1);
+  EXPECT_EQ(restored.graph().edge_count(), store.graph().edge_count());
+  EXPECT_EQ(restored.graph().invalidated_count(),
+            store.graph().invalidated_count());
+  EXPECT_EQ(restored.Lineage("e" + std::to_string(kRecords)).size(),
+            kRecords);
+  auto inv = restored.graph().GetInvalidation("r41");
+  ASSERT_TRUE(inv.ok());
+  EXPECT_EQ(inv->record_id, "r41");
+  EXPECT_TRUE(inv->cascaded);
+  EXPECT_EQ(restored.SubjectHistory("s3").size(),
+            store.SubjectHistory("s3").size());
+  ASSERT_TRUE(restored.AuditAll().ok());
+
+  // Publishing from the restored store shares the loaded sealed group.
+  ASSERT_TRUE(restored.PublishSnapshot().ok());
+  auto epoch = restored.AcquireSnapshot();
+  ASSERT_NE(epoch, nullptr);
+  ASSERT_EQ(epoch->image().groups.size(), 2u);
+  EXPECT_EQ(epoch->record_count(), kRecords + 1);
+  auto reader = epoch->OpenReader();
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader->Execute(prov::Query().WithSubject("s3")).count,
+            store.SubjectHistory("s3").size());
+}
+
 TEST_F(RecoveryTest, FullProcessRestartRestoresChainAndStore) {
   const std::string chain_log = dir_ + "/chain.log";
   const std::string snapshot = dir_ + "/store.snap";
