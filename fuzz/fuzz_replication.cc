@@ -6,7 +6,9 @@
 // Input mapping: byte 0 selects the message type (mod 4), the rest is the
 // payload. The node under test persists across inputs (accumulated chain
 // state is exactly what a long-lived follower has) and is rebuilt
-// periodically to keep iterations bounded.
+// periodically to keep iterations bounded. Whenever an input moves the
+// head, the chain's stored transaction ids and the store's audit are
+// re-checked against the transaction bytes.
 
 #include "harnesses.h"
 
@@ -43,6 +45,26 @@ struct NodeContext {
   }
 };
 
+// After the head moved (an extension, a side branch adopted, a reorg),
+// the digests the chain stored at acceptance must still describe the
+// main chain: every transaction's recomputed id resolves to a transaction
+// with that id, and the store's full audit passes.
+void CheckStoredDigests(replication::ReplicatedNode& node) {
+  const ledger::Blockchain& chain = *node.chain();
+  for (uint64_t h = 0; h <= chain.height(); ++h) {
+    for (const auto& tx : chain.PeekBlock(h)->transactions) {
+      const crypto::Digest id = tx.Id();
+      auto loc = chain.FindTransaction(id);
+      PROVLEDGER_FUZZ_REQUIRE(loc.ok());
+      const ledger::Block* at = chain.PeekBlock(loc->height);
+      PROVLEDGER_FUZZ_REQUIRE(at != nullptr &&
+                              loc->index < at->transactions.size() &&
+                              at->transactions[loc->index].Id() == id);
+    }
+  }
+  PROVLEDGER_FUZZ_REQUIRE(node.store()->AuditAll().ok());
+}
+
 }  // namespace
 
 void FuzzReplication(const uint8_t* data, size_t size) {
@@ -53,6 +75,9 @@ void FuzzReplication(const uint8_t* data, size_t size) {
     inputs_on_ctx = 0;
   }
 
+  const ledger::Blockchain& chain = *ctx->node->chain();
+  const crypto::Digest head_before = chain.head_hash();
+
   network::Message message;
   message.from = ctx->peer_id;
   message.to = ctx->node_id;
@@ -62,6 +87,8 @@ void FuzzReplication(const uint8_t* data, size_t size) {
   // Drain whatever the node sent back (status replies, pulls) so the send
   // paths execute too; the peer swallows them.
   ctx->net.RunUntilIdle();
+
+  if (chain.head_hash() != head_before) CheckStoredDigests(*ctx->node);
 }
 
 }  // namespace fuzz

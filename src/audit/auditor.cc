@@ -119,7 +119,7 @@ ContinuousAuditor::ContinuousAuditor(const ledger::Blockchain* chain,
       "audit_findings_total", "Integrity violations found across passes");
   auto view = chain_->AcquireChainView();
   std::lock_guard<std::mutex> lock(run_mu_);
-  cursor_hash_ = view->hashes[0];
+  cursor_hash_ = view->hash(0);
 }
 
 ContinuousAuditor::~ContinuousAuditor() { Stop(); }
@@ -127,8 +127,8 @@ ContinuousAuditor::~ContinuousAuditor() { Stop(); }
 ContinuousAuditor::BlockCheck ContinuousAuditor::AuditBlock(
     const ledger::ChainView& view, uint64_t height) const {
   BlockCheck out;
-  const ledger::Block& b = *view.blocks[height];
-  const ledger::Block& parent = *view.blocks[height - 1];
+  const ledger::Block& b = view.block(height);
+  const ledger::Block& parent = view.block(height - 1);
   out.txs = b.transactions.size();
   auto add = [&out, height](AuditSource source, int32_t tx_index,
                             std::string record_id, std::string detail) {
@@ -146,11 +146,11 @@ ContinuousAuditor::BlockCheck ContinuousAuditor::AuditBlock(
         "header height " + std::to_string(b.header.height) +
             " does not match chain position");
   }
-  if (b.header.Hash() != view.hashes[height]) {
+  if (b.header.Hash() != view.hash(height)) {
     add(AuditSource::kChainHeader, -1, "",
         "header does not hash to its installed block hash");
   }
-  if (b.header.prev_hash != view.hashes[height - 1]) {
+  if (b.header.prev_hash != view.hash(height - 1)) {
     add(AuditSource::kChainHeader, -1, "",
         "prev_hash does not match the parent block");
   }
@@ -231,10 +231,10 @@ AuditReport ContinuousAuditor::RunPass() {
   // main-chain block at that height; otherwise the audited prefix was
   // abandoned and the adopted chain is re-audited from genesis.
   if (cursor_height_ > view->height() ||
-      view->hashes[cursor_height_] != cursor_hash_) {
+      view->hash(cursor_height_) != cursor_hash_) {
     report.reorg_rewound = true;
     cursor_height_ = 0;
-    cursor_hash_ = view->hashes[0];
+    cursor_hash_ = view->hash(0);
   }
 
   // Cap at the snapshot's reflected height so every audited block can be
@@ -335,7 +335,7 @@ AuditReport ContinuousAuditor::RunPass() {
   }
 
   cursor_height_ = report.to_height;
-  cursor_hash_ = view->hashes[cursor_height_];
+  cursor_hash_ = view->hash(cursor_height_);
   audited_height_.store(cursor_height_, std::memory_order_release);
   lag_gauge_->Set(static_cast<int64_t>(report.head_height - cursor_height_));
   passes_.fetch_add(1, std::memory_order_relaxed);
@@ -365,7 +365,7 @@ uint64_t ContinuousAuditor::lag_blocks() const {
 void ContinuousAuditor::Rewind() {
   std::lock_guard<std::mutex> lock(run_mu_);
   cursor_height_ = 0;
-  cursor_hash_ = chain_->AcquireChainView()->hashes[0];
+  cursor_hash_ = chain_->AcquireChainView()->hash(0);
   audited_height_.store(0, std::memory_order_release);
 }
 

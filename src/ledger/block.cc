@@ -59,6 +59,12 @@ crypto::Digest Block::ComputeMerkleRoot(const std::vector<Transaction>& txs) {
   return crypto::MerkleTree::Build(TxLeaves(txs)).root();
 }
 
+crypto::Digest Block::MerkleRootFromLeaves(
+    const std::vector<crypto::Digest>& leaves) {
+  RootComputesCell()->Increment();
+  return crypto::MerkleTree::BuildFromDigests(leaves).root();
+}
+
 Block Block::Make(uint64_t height, const crypto::Digest& prev_hash,
                   std::vector<Transaction> txs, Timestamp timestamp,
                   const std::string& proposer) {

@@ -1,13 +1,32 @@
 #include "ledger/chain.h"
-#include <algorithm>
-
 
 namespace provledger {
 namespace ledger {
 
 namespace {
-std::string Key(const crypto::Digest& d) { return crypto::DigestHex(d); }
+// Leaf digest and id of every transaction, both from one canonical
+// encoding per transaction (one scratch buffer for the whole block).
+void DigestTransactions(const std::vector<Transaction>& txs,
+                        StoredBlock* out) {
+  out->leaves.reserve(txs.size());
+  out->ids.reserve(txs.size());
+  Encoder enc;
+  for (const auto& tx : txs) {
+    enc.Clear();
+    tx.EncodeTo(&enc);
+    out->leaves.push_back(crypto::MerkleTree::LeafHash(enc.buffer()));
+    out->ids.push_back(crypto::Sha256::Hash(enc.buffer()));
+  }
+}
 }  // namespace
+
+void ChainView::Push(std::shared_ptr<const StoredBlock> block) {
+  open_.push_back(std::move(block));
+  if (open_.size() == kChunkBlocks) {
+    sealed_.push_back(std::make_shared<const Chunk>(std::move(open_)));
+    open_ = Chunk();
+  }
+}
 
 Blockchain::Blockchain(ChainOptions options) : options_(std::move(options)) {
   obs::Registry* registry = options_.registry != nullptr
@@ -28,30 +47,44 @@ Blockchain::Blockchain(ChainOptions options) : options_(std::move(options)) {
   // Genesis: one system transaction binding the chain id.
   Transaction genesis_tx = Transaction::MakeSystem(
       "genesis", "", ToBytes(options_.chain_id), /*timestamp=*/0, /*nonce=*/0);
-  Block genesis = Block::Make(0, crypto::ZeroDigest(), {genesis_tx},
+  StoredBlock genesis;
+  genesis.block = Block::Make(0, crypto::ZeroDigest(), {genesis_tx},
                               /*timestamp=*/0, "genesis");
-  crypto::Digest hash = genesis.header.Hash();
-  blocks_.emplace(Key(hash), std::make_shared<const Block>(std::move(genesis)));
-  main_chain_.push_back(hash);
-  tx_index_.emplace(Key(genesis_tx.Id()), TxLocation{0, 0});
-  RepublishChainView();
+  DigestTransactions(genesis.block.transactions, &genesis);
+  genesis.hash = genesis.block.header.Hash();
+  InstallBlock(std::move(genesis));
 }
 
 uint64_t Blockchain::height() const {
   return static_cast<uint64_t>(main_chain_.size()) - 1;
 }
 
-crypto::Digest Blockchain::head_hash() const { return main_chain_.back(); }
+crypto::Digest Blockchain::head_hash() const {
+  return main_chain_.back()->hash;
+}
 
-const Block& Blockchain::genesis() const {
-  return *blocks_.at(Key(main_chain_[0]));
+const Block& Blockchain::genesis() const { return main_chain_[0]->block; }
+
+BlockHeader Blockchain::HeaderOnHead(const crypto::Digest& merkle_root,
+                                     Timestamp timestamp,
+                                     const std::string& proposer,
+                                     uint64_t nonce) const {
+  const StoredBlock& parent = *main_chain_.back();
+  BlockHeader header;
+  header.height = parent.block.header.height + 1;
+  header.prev_hash = parent.hash;
+  header.merkle_root = merkle_root;
+  header.timestamp = timestamp;
+  header.nonce = nonce;
+  header.proposer = proposer;
+  return header;
 }
 
 Status Blockchain::ValidateBlock(const Block& block, const Block& parent,
-                                 bool check_merkle_root) const {
+                                 StoredBlock* derive_into) const {
   // No prev_hash check: the sole caller (ValidateAndPersist) fetched
-  // `parent` from blocks_ by Key(block.header.prev_hash), and every
-  // stored block is keyed by its own header hash — the link equality is
+  // `parent` from blocks_ by block.header.prev_hash, and every stored
+  // block is keyed by its own header hash — the link equality is
   // structural, and re-deriving parent.header.Hash() here would cost a
   // redundant SHA-256 per acceptance.
   if (block.header.height != parent.header.height + 1) {
@@ -64,9 +97,12 @@ Status Blockchain::ValidateBlock(const Block& block, const Block& parent,
       block.transactions.size() > options_.max_block_txs) {
     return Status::InvalidArgument("block exceeds max transaction count");
   }
-  if (check_merkle_root && Block::ComputeMerkleRoot(block.transactions) !=
-                               block.header.merkle_root) {
-    return Status::Corruption("merkle root does not match transactions");
+  if (derive_into != nullptr) {
+    DigestTransactions(block.transactions, derive_into);
+    if (Block::MerkleRootFromLeaves(derive_into->leaves) !=
+        block.header.merkle_root) {
+      return Status::Corruption("merkle root does not match transactions");
+    }
   }
   for (const auto& tx : block.transactions) {
     if (!tx.IsSigned() && !options_.allow_unsigned) {
@@ -84,17 +120,19 @@ Result<crypto::Digest> Blockchain::Append(std::vector<Transaction> txs,
                                           const std::string& proposer,
                                           uint64_t nonce) {
   obs::ScopedTimer timer(append_seconds_);
-  const crypto::Digest parent_hash = head_hash();
-  const Block& parent = *blocks_.at(Key(parent_hash));
-  Block block = Block::Make(parent.header.height + 1, parent_hash,
-                            std::move(txs), timestamp, proposer);
-  block.header.nonce = nonce;
-  crypto::Digest hash = block.header.Hash();
-  // Self-produce fast path: Make just derived the root from these exact
-  // transactions, so acceptance skips the redundant re-computation.
-  PROVLEDGER_RETURN_NOT_OK(AcceptBlock(std::move(block), hash,
-                                       /*check_merkle_root=*/false,
-                                       /*cached_ids=*/nullptr));
+  // Self-produce fast path: the root comes from leaves digested here, out
+  // of the very encodings that also yield the ids, so acceptance skips the
+  // redundant re-computation.
+  StoredBlock stored;
+  DigestTransactions(txs, &stored);
+  stored.block.header = HeaderOnHead(Block::MerkleRootFromLeaves(stored.leaves),
+                                     timestamp, proposer, nonce);
+  stored.block.transactions = std::move(txs);
+  stored.hash = stored.block.header.Hash();
+  PROVLEDGER_RETURN_NOT_OK(
+      ValidateAndPersist(stored.block, stored.hash, /*derive_into=*/nullptr));
+  const crypto::Digest hash = stored.hash;
+  InstallBlock(std::move(stored));
   return hash;
 }
 
@@ -103,85 +141,67 @@ Result<crypto::Digest> Blockchain::AppendPrepared(
     const std::string& proposer, uint64_t nonce,
     const crypto::Digest* precomputed_root) {
   obs::ScopedTimer timer(append_seconds_);
-  const crypto::Digest parent_hash = head_hash();
-  const Block& parent = *blocks_.at(Key(parent_hash));
   // Root straight from the cached leaf digests — the transactions' bytes
   // are never re-encoded or re-hashed on this path.
-  std::vector<crypto::Digest> ids;
-  ids.reserve(txs->size());
-  for (const auto& ptx : *txs) ids.push_back(ptx.id);
-  crypto::Digest root;
-  if (precomputed_root != nullptr) {
-    root = *precomputed_root;
-  } else {
-    std::vector<crypto::Digest> leaves;
-    leaves.reserve(txs->size());
-    for (const auto& ptx : *txs) leaves.push_back(ptx.leaf);
-    root = crypto::MerkleTree::BuildFromDigests(leaves).root();
+  StoredBlock stored;
+  stored.leaves.reserve(txs->size());
+  stored.ids.reserve(txs->size());
+  for (const auto& ptx : *txs) {
+    stored.leaves.push_back(ptx.leaf);
+    stored.ids.push_back(ptx.id);
   }
-  Block block;
-  block.header.height = parent.header.height + 1;
-  block.header.prev_hash = parent_hash;
-  block.header.merkle_root = root;
-  block.header.timestamp = timestamp;
-  block.header.nonce = nonce;
-  block.header.proposer = proposer;
+  Block& block = stored.block;
+  block.header = HeaderOnHead(
+      precomputed_root != nullptr
+          ? *precomputed_root
+          : crypto::MerkleTree::BuildFromDigests(stored.leaves).root(),
+      timestamp, proposer, nonce);
   block.transactions.reserve(txs->size());
   for (auto& ptx : *txs) block.transactions.push_back(std::move(ptx.tx));
-  crypto::Digest hash = block.header.Hash();
+  stored.hash = block.header.Hash();
   // Two-stage acceptance keeps the hand-back contract structural: every
-  // failure point runs before `block` is consumed, so on error the
+  // failure point runs before `stored` is consumed, so on error the
   // transactions are still here and move straight back into the caller's
   // PreparedTx vector for retry.
-  const std::string block_key = Key(hash);
   Status accepted =
-      ValidateAndPersist(block, block_key, /*check_merkle_root=*/false);
+      ValidateAndPersist(block, stored.hash, /*derive_into=*/nullptr);
   if (!accepted.ok()) {
     for (size_t i = 0; i < txs->size(); ++i) {
       (*txs)[i].tx = std::move(block.transactions[i]);
     }
     return accepted;
   }
-  InstallBlock(std::move(block), hash, block_key, &ids);
+  const crypto::Digest hash = stored.hash;
+  InstallBlock(std::move(stored));
   txs->clear();
   return hash;
 }
 
 Status Blockchain::SubmitBlock(const Block& block) {
   obs::ScopedTimer timer(append_seconds_);
-  const crypto::Digest hash = block.header.Hash();
-  const std::string block_key = Key(hash);
+  StoredBlock stored;
+  stored.hash = block.header.Hash();
   // Validate against the caller's block; the deep copy (every transaction
   // payload) is only paid once the block is actually going in.
-  PROVLEDGER_RETURN_NOT_OK(
-      ValidateAndPersist(block, block_key, /*check_merkle_root=*/true));
-  InstallBlock(Block(block), hash, block_key, /*cached_ids=*/nullptr);
-  return Status::OK();
-}
-
-Status Blockchain::AcceptBlock(Block&& block, const crypto::Digest& hash,
-                               bool check_merkle_root,
-                               const std::vector<crypto::Digest>* cached_ids) {
-  const std::string block_key = Key(hash);
-  PROVLEDGER_RETURN_NOT_OK(
-      ValidateAndPersist(block, block_key, check_merkle_root));
-  InstallBlock(std::move(block), hash, block_key, cached_ids);
+  PROVLEDGER_RETURN_NOT_OK(ValidateAndPersist(block, stored.hash, &stored));
+  stored.block = block;
+  InstallBlock(std::move(stored));
   return Status::OK();
 }
 
 Status Blockchain::ValidateAndPersist(const Block& block,
-                                      const std::string& block_key,
-                                      bool check_merkle_root) {
+                                      const crypto::Digest& hash,
+                                      StoredBlock* derive_into) {
   obs::ScopedTimer timer(validate_seconds_);
-  if (blocks_.count(block_key)) {
+  if (blocks_.count(hash)) {
     return Status::AlreadyExists("block already known");
   }
-  auto parent_it = blocks_.find(Key(block.header.prev_hash));
+  auto parent_it = blocks_.find(block.header.prev_hash);
   if (parent_it == blocks_.end()) {
     return Status::NotFound("parent block unknown");
   }
   PROVLEDGER_RETURN_NOT_OK(
-      ValidateBlock(block, *parent_it->second, check_merkle_root));
+      ValidateBlock(block, parent_it->second->block, derive_into));
 
   // Write-ahead: the block must be durable before any in-memory state
   // changes, so a crash can never leave the memory view ahead of the log.
@@ -189,68 +209,55 @@ Status Blockchain::ValidateAndPersist(const Block& block,
   return Status::OK();
 }
 
-void Blockchain::InstallBlock(Block&& block, const crypto::Digest& hash,
-                              const std::string& block_key,
-                              const std::vector<crypto::Digest>* cached_ids) {
-  const bool extends_head = block.header.prev_hash == head_hash();
-  const Block& stored =
-      *blocks_
-           .emplace(block_key,
-                    std::make_shared<const Block>(std::move(block)))
-           .first->second;
+void Blockchain::InstallBlock(StoredBlock&& stored) {
+  auto shared = std::make_shared<const StoredBlock>(std::move(stored));
+  blocks_.emplace(shared->hash, shared);
 
-  // Fork choice: extending the head is the fast path; a strictly higher
-  // side branch triggers a reorg (longest-chain rule).
-  if (extends_head) {
-    main_chain_.push_back(hash);
-    uint32_t idx = 0;
-    for (const auto& tx : stored.transactions) {
-      // Cached ids (the prepared-ingest path) spare the per-transaction
-      // re-encode + re-hash that Id() costs.
-      const crypto::Digest id =
-          cached_ids != nullptr ? (*cached_ids)[idx] : tx.Id();
-      tx_index_[Key(id)] = TxLocation{stored.header.height, idx++};
-    }
+  // Fork choice: extending the head (or installing genesis) is the fast
+  // path; a strictly higher side branch triggers a reorg (longest-chain
+  // rule).
+  if (main_chain_.empty() || shared->block.header.prev_hash == head_hash()) {
+    main_chain_.push_back(shared);
+    IndexTransactions(*shared);
+    view_parts_.Push(std::move(shared));
     RepublishChainView();
     return;
   }
-  if (stored.header.height > height()) {
-    // Rebuild the main chain by walking parents back to genesis.
-    std::vector<crypto::Digest> new_chain;
-    crypto::Digest cursor = hash;
-    while (true) {
-      new_chain.push_back(cursor);
-      const Block& b = *blocks_.at(Key(cursor));
-      if (b.header.height == 0) break;
-      cursor = b.header.prev_hash;
+  if (shared->block.header.height <= height()) return;
+  // Walk the branch back to the block where it meets the main chain (at
+  // worst genesis), then splice it in above that fork point.
+  std::vector<std::shared_ptr<const StoredBlock>> branch;
+  for (std::shared_ptr<const StoredBlock> cursor = shared;;
+       cursor = blocks_.at(cursor->block.header.prev_hash)) {
+    const uint64_t h = cursor->block.header.height;
+    if (h < main_chain_.size() && main_chain_[h]->hash == cursor->hash) {
+      main_chain_.resize(h + 1);
+      break;
     }
-    std::reverse(new_chain.begin(), new_chain.end());
-    main_chain_ = std::move(new_chain);
-    ReindexMainChain();
-    RepublishChainView();
+    branch.push_back(cursor);
+  }
+  main_chain_.insert(main_chain_.end(), branch.rbegin(), branch.rend());
+  ReindexMainChain();
+  view_parts_ = ChainView();
+  for (const auto& b : main_chain_) view_parts_.Push(b);
+  RepublishChainView();
+}
+
+void Blockchain::IndexTransactions(const StoredBlock& stored) {
+  const uint64_t h = stored.block.header.height;
+  for (uint32_t i = 0; i < stored.ids.size(); ++i) {
+    tx_index_[stored.ids[i]] = TxLocation{h, i};
   }
 }
 
 void Blockchain::ReindexMainChain() {
   tx_index_.clear();
-  for (const auto& hash : main_chain_) {
-    const Block& b = *blocks_.at(Key(hash));
-    uint32_t idx = 0;
-    for (const auto& tx : b.transactions) {
-      tx_index_[Key(tx.Id())] = TxLocation{b.header.height, idx++};
-    }
-  }
+  for (const auto& b : main_chain_) IndexTransactions(*b);
 }
 
 void Blockchain::RepublishChainView() {
-  auto view = std::make_shared<ChainView>();
-  view->blocks.reserve(main_chain_.size());
-  view->hashes = main_chain_;
-  for (const auto& hash : main_chain_) {
-    view->blocks.push_back(blocks_.at(Key(hash)));
-  }
-  std::atomic_store(&view_,
-                    std::shared_ptr<const ChainView>(std::move(view)));
+  std::atomic_store(&view_, std::shared_ptr<const ChainView>(
+                                std::make_shared<ChainView>(view_parts_)));
   height_gauge_->Set(static_cast<int64_t>(height()));
 }
 
@@ -262,7 +269,7 @@ Result<crypto::Digest> Blockchain::BlockHashAt(uint64_t h) const {
   if (h >= main_chain_.size()) {
     return Status::NotFound("no block at height " + std::to_string(h));
   }
-  return main_chain_[h];
+  return main_chain_[h]->hash;
 }
 
 std::vector<const Block*> Blockchain::PeekRange(uint64_t from,
@@ -270,7 +277,7 @@ std::vector<const Block*> Blockchain::PeekRange(uint64_t from,
   std::vector<const Block*> out;
   for (uint64_t h = from; h < main_chain_.size() && out.size() < max_blocks;
        ++h) {
-    out.push_back(blocks_.at(Key(main_chain_[h])).get());
+    out.push_back(&main_chain_[h]->block);
   }
   return out;
 }
@@ -279,28 +286,35 @@ Result<Block> Blockchain::GetBlock(uint64_t h) const {
   if (h >= main_chain_.size()) {
     return Status::NotFound("no block at height " + std::to_string(h));
   }
-  return *blocks_.at(Key(main_chain_[h]));
+  return main_chain_[h]->block;
 }
 
 const Block* Blockchain::PeekBlock(uint64_t h) const {
   if (h >= main_chain_.size()) return nullptr;
-  return blocks_.at(Key(main_chain_[h])).get();
+  return &main_chain_[h]->block;
+}
+
+const std::vector<crypto::Digest>* Blockchain::PeekTxIds(uint64_t h) const {
+  if (h >= main_chain_.size()) return nullptr;
+  return &main_chain_[h]->ids;
 }
 
 Result<Block> Blockchain::GetBlockByHash(const crypto::Digest& hash) const {
-  auto it = blocks_.find(Key(hash));
+  auto it = blocks_.find(hash);
   if (it == blocks_.end()) return Status::NotFound("unknown block hash");
-  return *it->second;
+  return it->second->block;
 }
 
 Result<BlockHeader> Blockchain::GetHeader(uint64_t h) const {
-  PROVLEDGER_ASSIGN_OR_RETURN(Block b, GetBlock(h));
-  return b.header;
+  if (h >= main_chain_.size()) {
+    return Status::NotFound("no block at height " + std::to_string(h));
+  }
+  return main_chain_[h]->block.header;
 }
 
 Result<TxLocation> Blockchain::FindTransaction(
     const crypto::Digest& txid) const {
-  auto it = tx_index_.find(Key(txid));
+  auto it = tx_index_.find(txid);
   if (it == tx_index_.end()) {
     return Status::NotFound("transaction not on main chain");
   }
@@ -312,25 +326,22 @@ Result<Transaction> Blockchain::GetTransaction(
   PROVLEDGER_ASSIGN_OR_RETURN(TxLocation loc, FindTransaction(txid));
   // Reference the stored block directly: GetBlock would copy the whole
   // block (every transaction) to hand back one of them.
-  const Block& b = *blocks_.at(Key(main_chain_[loc.height]));
-  return b.transactions[loc.index];
+  return main_chain_[loc.height]->block.transactions[loc.index];
 }
 
 std::vector<Transaction> Blockchain::GetChannelTransactions(
     const std::string& channel) const {
   std::vector<Transaction> out;
-  for (const auto& hash : main_chain_) {
-    const Block& b = *blocks_.at(Key(hash));
-    for (const auto& tx : b.transactions) {
+  for (const auto& b : main_chain_) {
+    for (const auto& tx : b->block.transactions) {
       if (tx.channel == channel) out.push_back(tx);
     }
   }
   return out;
 }
 
-const crypto::MerkleTree& Blockchain::TreeFor(const std::string& block_key,
-                                              const Block& block) const {
-  auto it = merkle_cache_.find(block_key);
+const crypto::MerkleTree& Blockchain::TreeFor(const StoredBlock& stored) const {
+  auto it = merkle_cache_.find(stored.hash);
   if (it != merkle_cache_.end()) return it->second;
   if (options_.merkle_cache_blocks != 0) {
     while (merkle_cache_.size() >= options_.merkle_cache_blocks &&
@@ -341,22 +352,20 @@ const crypto::MerkleTree& Blockchain::TreeFor(const std::string& block_key,
   }
   ++merkle_builds_;
   merkle_builds_total_->Increment();
-  merkle_cache_order_.push_back(block_key);
+  merkle_cache_order_.push_back(stored.hash);
   return merkle_cache_
-      .emplace(block_key, crypto::MerkleTree::Build(
-                              Block::TxLeaves(block.transactions)))
+      .emplace(stored.hash, crypto::MerkleTree::BuildFromDigests(stored.leaves))
       .first->second;
 }
 
 Result<TxProof> Blockchain::ProveTransaction(const crypto::Digest& txid) const {
   PROVLEDGER_ASSIGN_OR_RETURN(TxLocation loc, FindTransaction(txid));
-  const std::string block_key = Key(main_chain_[loc.height]);
-  const Block& b = *blocks_.at(block_key);
+  const StoredBlock& stored = *main_chain_[loc.height];
   TxProof proof;
-  proof.block_hash = main_chain_[loc.height];
-  proof.header = b.header;
+  proof.block_hash = stored.hash;
+  proof.header = stored.block.header;
   PROVLEDGER_ASSIGN_OR_RETURN(proof.merkle_proof,
-                              TreeFor(block_key, b).Prove(loc.index));
+                              TreeFor(stored).Prove(loc.index));
   return proof;
 }
 
@@ -372,12 +381,14 @@ bool Blockchain::VerifyTxProof(const Bytes& tx_encoding,
   if (!VerifyTxProofAgainstHeader(tx_encoding, proof)) return false;
   // The proof's block must be on *this* chain's main branch.
   if (proof.header.height >= main_chain_.size()) return false;
-  return main_chain_[proof.header.height] == proof.block_hash;
+  return main_chain_[proof.header.height]->hash == proof.block_hash;
 }
 
 Status Blockchain::VerifyIntegrity() const {
+  // Recomputed from the transaction bytes, never from the stored digests:
+  // this is the tamper check they must not mask.
   for (size_t h = 0; h < main_chain_.size(); ++h) {
-    const Block& b = *blocks_.at(Key(main_chain_[h]));
+    const Block& b = main_chain_[h]->block;
     if (b.header.height != h) {
       return Status::Corruption("height mismatch at " + std::to_string(h));
     }
@@ -386,7 +397,7 @@ Status Blockchain::VerifyIntegrity() const {
                                 std::to_string(h));
     }
     if (h > 0) {
-      const Block& parent = *blocks_.at(Key(main_chain_[h - 1]));
+      const Block& parent = main_chain_[h - 1]->block;
       if (b.header.prev_hash != parent.header.Hash()) {
         return Status::Corruption("hash chain broken at height " +
                                   std::to_string(h));
@@ -407,9 +418,7 @@ Status Blockchain::VerifyIntegrity() const {
 
 size_t Blockchain::ApproximateBytes() const {
   size_t total = 0;
-  for (const auto& hash : main_chain_) {
-    total += blocks_.at(Key(hash))->EncodedSize();
-  }
+  for (const auto& b : main_chain_) total += b->block.EncodedSize();
   return total;
 }
 
@@ -420,33 +429,29 @@ Status Blockchain::TamperForTesting(uint64_t height, size_t tx_index,
   }
   // Installed blocks are shared immutably with published ChainViews; the
   // const_cast is this hook's documented single-threaded-test exception.
-  Block& b = const_cast<Block&>(*blocks_.at(Key(main_chain_[height])));
+  Block& b = const_cast<StoredBlock&>(*main_chain_[height]).block;
   if (tx_index >= b.transactions.size()) {
     return Status::NotFound("no transaction at that index");
   }
   Bytes& payload = b.transactions[tx_index].payload;
   if (payload.empty()) payload.push_back(0);
   payload[0] ^= xor_mask;
-  // The stored block no longer matches any cached proof tree. Purge the
-  // FIFO entry too so the map and eviction order stay one-to-one.
-  const std::string block_key = Key(main_chain_[height]);
-  merkle_cache_.erase(block_key);
-  merkle_cache_order_.erase(std::remove(merkle_cache_order_.begin(),
-                                        merkle_cache_order_.end(), block_key),
-                            merkle_cache_order_.end());
+  // The stored leaves and ids (and any proof tree built from them) keep
+  // the digests of the accepted bytes on purpose: every verifier re-hashes
+  // the transaction it is handed, so the tampered bytes fail their proof.
   return Status::OK();
 }
 
 Status Mempool::Add(const Transaction& tx) {
-  const std::string id = crypto::DigestHex(tx.Id());
+  crypto::Digest id = tx.Id();
   if (seen_.count(id)) {
     return Status::AlreadyExists("transaction already in mempool");
   }
   if (verify_signatures_) {
     PROVLEDGER_RETURN_NOT_OK(tx.VerifySignature());
   }
-  seen_.emplace(id, true);
-  queue_.push_back(tx);
+  seen_.insert(id);
+  queue_.emplace_back(id, tx);
   return Status::OK();
 }
 
@@ -456,8 +461,8 @@ std::vector<Transaction> Mempool::Take(size_t max_count) {
   std::vector<Transaction> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    out.push_back(std::move(queue_.front()));
-    seen_.erase(crypto::DigestHex(out.back().Id()));
+    seen_.erase(queue_.front().first);
+    out.push_back(std::move(queue_.front().second));
     queue_.pop_front();
   }
   return out;

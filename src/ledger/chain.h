@@ -9,12 +9,15 @@
 #ifndef PROVLEDGER_LEDGER_CHAIN_H_
 #define PROVLEDGER_LEDGER_CHAIN_H_
 
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "ledger/block.h"
@@ -56,30 +59,84 @@ struct TxProof {
   crypto::MerkleProof merkle_proof;
 };
 
+/// \brief Hash functor for digest-keyed maps. SHA-256 output is uniform,
+/// so its first 8 bytes are already a well-spread hash. Unseeded, like
+/// std::hash: no weaker against flooding than hashing any encoding of the
+/// digest.
+struct DigestHash {
+  size_t operator()(const crypto::Digest& d) const {
+    size_t h;
+    std::memcpy(&h, d.data(), sizeof(h));
+    return h;
+  }
+};
+
+/// \brief A block as the chain stores it: the block, the hash it was
+/// accepted under, and the two digests acceptance derived from one
+/// canonical encoding of each transaction (64 B/tx, side branches
+/// included). The transaction index, the store's record index and the
+/// proof trees read these instead of re-encoding and re-hashing. Nothing
+/// that checks integrity trusts them: verifiers hash the transaction bytes
+/// themselves, so a tampered transaction still fails its proof.
+struct StoredBlock {
+  Block block;
+  crypto::Digest hash;
+  /// MerkleTree::LeafHash of each transaction's encoding, in block order.
+  std::vector<crypto::Digest> leaves;
+  /// Transaction::Id() of each transaction, in block order.
+  std::vector<crypto::Digest> ids;
+};
+
 /// \brief An immutable view of the main chain at one instant: every
-/// main-chain block (by height) plus its installed hash. Published by the
-/// committer on every accepted block and acquired wait-free by background
-/// readers (the continuous auditor), mirroring the store's GraphSnapshot
-/// epochs: the vectors are never mutated after publication, and the Block
-/// objects are shared with the live chain, which never mutates an
-/// installed block (TamperForTesting is the single, documented,
-/// single-threaded-test exception).
+/// main-chain block by height plus the hash it was installed under.
+/// Published by the chain's owner thread on every accepted block and
+/// acquired wait-free by background readers (the continuous auditor),
+/// mirroring the store's GraphSnapshot epochs.
 ///
-/// Thread safety: fully immutable after construction — safe from any
-/// number of threads. Holding the shared_ptr keeps the view (and every
-/// block behind it) alive across reorgs on the live chain.
-struct ChainView {
-  /// Main-chain blocks indexed by height (blocks[0] = genesis).
-  std::vector<std::shared_ptr<const Block>> blocks;
-  /// Installed main-chain hashes by height (hashes[h] is the hash the
-  /// block was accepted under — read from the height index, never
-  /// re-derived).
-  std::vector<crypto::Digest> hashes;
+/// Heights are grouped into chunks of kChunkBlocks. A full chunk is sealed
+/// once and then shared by shared_ptr between every later view, the
+/// row-group idiom of prov/row_group.h; only the open tail chunk is copied
+/// into each view. Publishing after an append thus costs
+/// O(kChunkBlocks + height / kChunkBlocks) pointer copies instead of
+/// O(height); a reorg rebuilds the chunks in full. The blocks are shared
+/// with the live chain, which never mutates an installed block
+/// (TamperForTesting is the single, documented, single-threaded-test
+/// exception).
+///
+/// Thread safety: immutable once published — safe from any number of
+/// threads. Holding the shared_ptr keeps the view (and every block behind
+/// it) alive across reorgs on the live chain.
+class ChainView {
+ public:
+  /// Heights per chunk. A constant, not an option.
+  static constexpr size_t kChunkBlocks = 128;
 
   /// Height of the view's head (genesis = 0). Views are never empty.
   uint64_t height() const {
-    return static_cast<uint64_t>(blocks.size()) - 1;
+    return static_cast<uint64_t>(sealed_.size() * kChunkBlocks +
+                                 open_.size()) -
+           1;
   }
+  /// Main-chain block at height `h` (h <= height()).
+  const Block& block(uint64_t h) const { return At(h).block; }
+  /// Hash the block at `h` was installed under — read from the chain's
+  /// index, never re-derived from the header.
+  const crypto::Digest& hash(uint64_t h) const { return At(h).hash; }
+
+ private:
+  friend class Blockchain;
+  using Chunk = std::vector<std::shared_ptr<const StoredBlock>>;
+
+  const StoredBlock& At(uint64_t h) const {
+    const size_t chunk = static_cast<size_t>(h / kChunkBlocks);
+    const size_t slot = static_cast<size_t>(h % kChunkBlocks);
+    return chunk < sealed_.size() ? *(*sealed_[chunk])[slot] : *open_[slot];
+  }
+  /// Owner-side growth: append the next height, sealing a full chunk.
+  void Push(std::shared_ptr<const StoredBlock> block);
+
+  std::vector<std::shared_ptr<const Chunk>> sealed_;
+  Chunk open_;
 };
 
 /// \brief A transaction whose expensive digests were precomputed off the
@@ -126,8 +183,9 @@ class Blockchain {
   /// hashed by the caller (see PreparedTx). The local-produce fast path
   /// behind the ingest pipeline's committer: the Merkle root is assembled
   /// from the cached leaf digests (no re-encode, no re-hash) and the
-  /// transaction index reuses the cached ids, so each transaction's bytes
-  /// are hashed exactly once over its whole anchoring lifetime.
+  /// transaction index reuses the cached ids (both are stored with the
+  /// block, see StoredBlock), so each transaction's bytes are hashed
+  /// exactly once over its whole anchoring lifetime.
   /// `precomputed_root` (optional) skips even the digest-level tree
   /// build: pass the root of exactly these leaves in this order (the
   /// pipeline's shard workers compute it off-thread); a wrong root
@@ -183,9 +241,14 @@ class Blockchain {
   /// Valid until the next chain mutation; use when iterating without the
   /// deep copy GetBlock makes.
   const Block* PeekBlock(uint64_t height) const;
+  /// Transaction ids of the main-chain block at `height`, in transaction
+  /// order, as acceptance derived them (see StoredBlock) — no re-encode,
+  /// no re-hash. nullptr past the head; valid until the next chain
+  /// mutation, like PeekBlock.
+  const std::vector<crypto::Digest>* PeekTxIds(uint64_t height) const;
   /// Any known block (main or side) by hash.
   Result<Block> GetBlockByHash(const crypto::Digest& hash) const;
-  /// Main-chain header by height (cheap).
+  /// Main-chain header by height: a copy of the stored header only.
   Result<BlockHeader> GetHeader(uint64_t height) const;
 
   /// Locate a transaction on the main chain by id.
@@ -231,66 +294,70 @@ class Blockchain {
   Status TamperForTesting(uint64_t height, size_t tx_index, uint8_t xor_mask);
 
  private:
-  /// `check_merkle_root` is false only for blocks this process just built
-  /// via Block::Make (Append's self-produce path): their root was computed
-  /// from these exact transactions one call earlier, so re-deriving it
-  /// would double the per-block hash work for no information.
+  /// Header of a block extending the current head.
+  BlockHeader HeaderOnHead(const crypto::Digest& merkle_root,
+                           Timestamp timestamp, const std::string& proposer,
+                           uint64_t nonce) const;
+  /// Height/timestamp/size/signature checks against `parent`. With
+  /// `derive_into`, the block came from outside (SubmitBlock): each
+  /// transaction's leaf and id are derived from one encoding into
+  /// `*derive_into` and the header's Merkle root is checked against those
+  /// leaves. Append and AppendPrepared pass nullptr: their root was
+  /// assembled from the very digests they install, one call earlier.
   Status ValidateBlock(const Block& block, const Block& parent,
-                       bool check_merkle_root) const;
-  /// Shared acceptance path behind Append, AppendPrepared, and
-  /// SubmitBlock: ValidateAndPersist then InstallBlock. `hash` is
-  /// block.header.Hash(), computed once by the caller and reused by both
-  /// stages (the header is never re-hashed during acceptance).
-  /// `cached_ids` optionally carries the per-transaction ids (same order
-  /// as block.transactions) so the fast path skips re-hashing them for
-  /// the transaction index.
-  Status AcceptBlock(Block&& block, const crypto::Digest& hash,
-                     bool check_merkle_root,
-                     const std::vector<crypto::Digest>* cached_ids);
+                       StoredBlock* derive_into) const;
   /// Every fallible acceptance step — duplicate check, parent lookup,
-  /// validation, block-sink write — without consuming the block. Callers
-  /// that need the transactions back on failure (AppendPrepared's retry
-  /// hand-back) run this first; the block is only moved into the chain by
-  /// InstallBlock after this succeeds. `block_key` is Key(header hash),
-  /// computed once per acceptance and shared with InstallBlock.
-  Status ValidateAndPersist(const Block& block, const std::string& block_key,
-                            bool check_merkle_root);
+  /// validation, block-sink write — without consuming the block, all
+  /// inside chain_validate_seconds. Callers that need the transactions
+  /// back on failure (AppendPrepared's retry hand-back) run this first;
+  /// the block is only moved into the chain by InstallBlock after this
+  /// succeeds. `hash` is block.header.Hash(), computed once per acceptance.
+  Status ValidateAndPersist(const Block& block, const crypto::Digest& hash,
+                            StoredBlock* derive_into);
   /// Infallible final stage: store the block (by move) and run fork
-  /// choice. `hash`/`block_key` are the block's header hash and its map
-  /// key. Must only be called after ValidateAndPersist succeeded.
-  void InstallBlock(Block&& block, const crypto::Digest& hash,
-                    const std::string& block_key,
-                    const std::vector<crypto::Digest>* cached_ids);
+  /// choice. `stored` carries the block, its hash and its digests. Must
+  /// only be called after ValidateAndPersist succeeded (or for genesis).
+  void InstallBlock(StoredBlock&& stored);
+  /// Point every transaction id of `stored` at its main-chain location.
+  void IndexTransactions(const StoredBlock& stored);
   void ReindexMainChain();
-  /// Rebuild and atomically publish the ChainView for the current main
-  /// chain. Owner thread only; called after every install/reorg. O(height)
-  /// pointer copies — trivial next to the per-block hash work.
+  /// Atomically publish a copy of view_parts_ as the current ChainView.
+  /// Owner thread only; called after every install/reorg. The copy shares
+  /// every sealed chunk, so it costs O(chunk + height / chunk) pointer
+  /// copies: a full O(height) rebuild per block measured as the largest
+  /// single share of a replicated commit.
   void RepublishChainView();
-  /// Cached Merkle tree over `block`'s transactions, built on first use.
-  /// `block_key` is hex(block hash); blocks are immutable once stored, so
-  /// entries survive reorgs.
-  const crypto::MerkleTree& TreeFor(const std::string& block_key,
-                                    const Block& block) const;
+  /// Cached Merkle tree over `stored`'s transactions, built on a miss from
+  /// its stored leaf digests (no re-encode, no leaf re-hash). Blocks are
+  /// immutable once stored, so entries survive reorgs.
+  const crypto::MerkleTree& TreeFor(const StoredBlock& stored) const;
 
   ChainOptions options_;
-  // All known blocks by hex(hash). Blocks are heap-shared and immutable
-  // once installed so published ChainViews can alias them without copies
-  // (TamperForTesting's const_cast is the lone documented exception).
-  std::unordered_map<std::string, std::shared_ptr<const Block>> blocks_;
-  // Main chain: block hashes by height.
-  std::vector<crypto::Digest> main_chain_;
+  // All known blocks (main and side branches) by header hash. Blocks are
+  // heap-shared and immutable once installed so published ChainViews can
+  // alias them without copies (TamperForTesting's const_cast is the lone
+  // documented exception).
+  std::unordered_map<crypto::Digest, std::shared_ptr<const StoredBlock>,
+                     DigestHash>
+      blocks_;
+  // Main chain by height; entries alias blocks_.
+  std::vector<std::shared_ptr<const StoredBlock>> main_chain_;
+  // The main chain in ChainView form, grown by the owner thread and copied
+  // (sealed chunks shared) into every published view.
+  ChainView view_parts_;
   // Latest published main-chain view; accessed with std::atomic_load/
   // atomic_store so AcquireChainView never locks. Deliberately NOT
   // PROV_GUARDED_BY anything (annotations.h): there is no lock —
   // publication IS the atomic_store, acquisition the atomic_load;
   // everything behind the pointer is immutable.
   std::shared_ptr<const ChainView> view_;
-  // txid hex -> location, main chain only.
-  std::unordered_map<std::string, TxLocation> tx_index_;
-  // hex(block hash) -> Merkle tree over its transactions (proof cache),
-  // bounded by options_.merkle_cache_blocks with FIFO eviction.
-  mutable std::unordered_map<std::string, crypto::MerkleTree> merkle_cache_;
-  mutable std::deque<std::string> merkle_cache_order_;
+  // txid -> location, main chain only.
+  std::unordered_map<crypto::Digest, TxLocation, DigestHash> tx_index_;
+  // block hash -> Merkle tree over its transactions (proof cache), bounded
+  // by options_.merkle_cache_blocks with FIFO eviction.
+  mutable std::unordered_map<crypto::Digest, crypto::MerkleTree, DigestHash>
+      merkle_cache_;
+  mutable std::deque<crypto::Digest> merkle_cache_order_;
   mutable size_t merkle_builds_ = 0;
   std::function<Status(const Block&)> block_sink_;
   // Cached registry cells (resolved once in the constructor); hot-path
@@ -316,8 +383,10 @@ class Mempool {
 
  private:
   bool verify_signatures_;
-  std::deque<Transaction> queue_;
-  std::unordered_map<std::string, bool> seen_;
+  // (id, transaction) in arrival order; the id is kept so Take never
+  // re-hashes.
+  std::deque<std::pair<crypto::Digest, Transaction>> queue_;
+  std::unordered_set<crypto::Digest, DigestHash> seen_;
 };
 
 }  // namespace ledger

@@ -133,8 +133,11 @@ Status ProvenanceStore::Flush() {
   auto block_hash =
       chain_->Append(pending_, clock_->NowMicros(), options_.proposer);
   if (!block_hash.ok()) return block_hash.status();
+  // Append installed the block on the head; its stored ids spare
+  // re-encoding and re-hashing every transaction.
+  const std::vector<crypto::Digest>& txids =
+      *chain_->PeekTxIds(chain_->height());
 
-  std::vector<ledger::Transaction> txs = std::move(pending_);
   std::vector<ProvenanceRecord> records = std::move(pending_records_);
   pending_.clear();
   pending_records_.clear();
@@ -145,7 +148,7 @@ Status ProvenanceStore::Flush() {
   Status first_error;
   size_t failures = 0;
   for (size_t i = 0; i < records.size(); ++i) {
-    Status s = IndexRecord(std::move(records[i]), txs[i].Id());
+    Status s = IndexRecord(std::move(records[i]), txids[i]);
     if (!s.ok()) {
       ++failures;
       if (first_error.ok()) first_error = std::move(s);
@@ -443,13 +446,16 @@ Status ProvenanceStore::ReplayBlock(uint64_t h) {
   if (block == nullptr) {
     return Status::NotFound("no block at height " + std::to_string(h));
   }
-  for (const auto& tx : block->transactions) {
+  // The ids the chain derived at acceptance: no per-record re-hash.
+  const std::vector<crypto::Digest>& txids = *chain_->PeekTxIds(h);
+  for (size_t i = 0; i < block->transactions.size(); ++i) {
+    const ledger::Transaction& tx = block->transactions[i];
     if (tx.type != "prov/record" || tx.channel != options_.channel) {
       continue;
     }
     PROVLEDGER_ASSIGN_OR_RETURN(ProvenanceRecord record,
                                 ProvenanceRecord::Decode(tx.payload));
-    PROVLEDGER_RETURN_NOT_OK(IndexRecord(std::move(record), tx.Id()));
+    PROVLEDGER_RETURN_NOT_OK(IndexRecord(std::move(record), txids[i]));
     // Resume nonce issuance past everything already on the chain, so
     // post-replay transactions never reuse an anchored nonce.
     if (tx.nonce > nonce_) nonce_ = tx.nonce;

@@ -248,6 +248,53 @@ TEST_F(LineageFixture, SmuggledValidButUnrelatedAncestorRejected) {
       << st.message();
 }
 
+TEST(StoredLeafProofTest, RebuiltTreesNeverMaskTampering) {
+  // A one-block proof cache: consecutive records live in different blocks,
+  // so every proof misses and rebuilds its tree from the stored leaf
+  // digests rather than from the transaction bytes.
+  ledger::ChainOptions chain_options;
+  chain_options.merkle_cache_blocks = 1;
+  ledger::Blockchain chain(chain_options);
+  SimClock clock(1'000'000);
+  prov::ProvenanceStore store(&chain, &clock);
+  constexpr int kBlocks = 4;
+  constexpr int kRecords = 12;
+  auto id_of = [](int i) {
+    return std::string("k") + (i < 10 ? "0" : "") + std::to_string(i);
+  };
+  for (int b = 0; b < kBlocks; ++b) {
+    std::vector<prov::ProvenanceRecord> batch;
+    for (int i = b; i < kRecords; i += kBlocks) {
+      batch.push_back(Rec(id_of(i), "s" + std::to_string(i), "alice",
+                          100 + i));
+    }
+    ASSERT_TRUE(store.AnchorBatch(batch).ok());
+  }
+  const size_t builds_before = chain.merkle_tree_builds();
+  auto audited = store.AuditAll();
+  ASSERT_TRUE(audited.ok()) << audited.status().ToString();
+  EXPECT_EQ(audited.value(), static_cast<size_t>(kRecords));
+  EXPECT_EQ(chain.merkle_tree_builds() - builds_before,
+            static_cast<size_t>(kRecords));
+  auto clean = audit::BuildLineageProof(store, "k05");
+  ASSERT_TRUE(clean.ok());
+  EXPECT_TRUE(audit::VerifyLineageProof(*clean, "k05", OracleFor(chain)).ok());
+
+  // Tamper k05's transaction. Its stored leaf still holds the accepted
+  // digest, but every verifier re-hashes the bytes it is handed.
+  auto txid = store.RecordTxId("k05");
+  ASSERT_TRUE(txid.ok());
+  auto loc = chain.FindTransaction(txid.value());
+  ASSERT_TRUE(loc.ok());
+  ASSERT_TRUE(chain.TamperForTesting(loc->height, loc->index, 0x01).ok());
+  EXPECT_TRUE(store.AuditAll().status().IsCorruption());
+  auto tampered = audit::BuildLineageProof(store, "k05");
+  ASSERT_TRUE(tampered.ok());
+  EXPECT_TRUE(audit::VerifyLineageProof(*tampered, "k05", OracleFor(chain))
+                  .IsCorruption());
+  EXPECT_TRUE(chain.VerifyIntegrity().IsCorruption());
+}
+
 TEST_F(LineageFixture, ServedOverReplicationWire) {
   // BuildLineageProof is what repl/proof invokes server-side; this pins
   // the request/verify contract end to end without a cluster: bytes out

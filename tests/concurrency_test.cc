@@ -10,7 +10,9 @@
 //     writer seals groups, consecutive epochs share sealed groups, and a
 //     reader answers every query kind exactly like the live graph,
 //   * parallel query execution: bit-identical results to serial runs,
-//   * the prepared-block fast path: byte-identical blocks to Append.
+//   * the prepared-block fast path: byte-identical blocks to Append,
+//   * chunked chain views: a reader walks whole views while the writer
+//     seals chunks.
 //
 // Sizes are deliberately moderate — TSan multiplies runtime ~10x.
 
@@ -680,6 +682,55 @@ TEST(AppendPreparedTest, RejectedBlockHandsTransactionsBack) {
   auto proof = chain.ProveTransaction(tx0.Id());
   ASSERT_TRUE(proof.ok());
   EXPECT_TRUE(chain.VerifyTxProof(tx0.Encode(), proof.value()));
+}
+
+// -- Chunked chain views -----------------------------------------------------
+
+TEST(ChainViewConcurrencyTest, ReaderWalksViewsWhileWriterSealsChunks) {
+  // The owner thread appends through AppendPrepared across several chunk
+  // boundaries while a reader acquires views and walks every height. Each
+  // view must be whole (every block at its own height, linked to the hash
+  // installed below it) and heights never go backwards.
+  ledger::Blockchain chain;
+  const uint64_t target = 3 * ledger::ChainView::kChunkBlocks + 7;
+  std::atomic<bool> done{false};
+  size_t broken = 0;
+  size_t walks = 0;
+  std::thread reader([&] {
+    uint64_t last_height = 0;
+    while (!done.load(std::memory_order_acquire) || walks == 0) {
+      auto view = chain.AcquireChainView();
+      if (view->height() < last_height) ++broken;
+      last_height = view->height();
+      for (uint64_t h = 1; h <= view->height(); ++h) {
+        const ledger::Block& b = view->block(h);
+        if (b.header.height != h || b.header.prev_hash != view->hash(h - 1)) {
+          ++broken;
+        }
+      }
+      ++walks;
+    }
+  });
+  bool appended = true;
+  for (uint64_t i = 0; i < target && appended; ++i) {
+    auto tx = ledger::Transaction::MakeSystem(
+        "t", "ch", Bytes{uint8_t(i), uint8_t(i >> 8)}, 1000, i);
+    std::vector<ledger::PreparedTx> prepared{ledger::PreparedTx{
+        tx, tx.Id(), crypto::MerkleTree::LeafHash(tx.Encode())}};
+    appended = chain.AppendPrepared(&prepared, 2000 + i, "proposer").ok();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  ASSERT_TRUE(appended);
+  EXPECT_EQ(broken, 0u);
+  EXPECT_GT(walks, 0u);
+
+  auto view = chain.AcquireChainView();
+  ASSERT_EQ(view->height(), target);
+  for (uint64_t h = 0; h <= target; ++h) {
+    EXPECT_EQ(view->hash(h), chain.BlockHashAt(h).value());
+    EXPECT_EQ(view->hash(h), view->block(h).header.Hash());
+  }
 }
 
 TEST_F(ConcurrencyTest, RefusedBatchWithDroppedDupInvalidatesStaleRoot) {

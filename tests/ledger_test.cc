@@ -1,6 +1,7 @@
 // Ledger tests: transaction signing/encoding, block Merkle roots, chain
 // validation, immutability (the paper's Figure 2 property), fork choice,
-// transaction proofs, and the mempool.
+// transaction proofs, stored per-transaction digests, chunked ChainViews,
+// and the mempool.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,48 @@ Transaction SignedTx(const std::string& payload, const std::string& who,
   return Transaction::MakeSigned("prov/record", "test-channel",
                                  ToBytes(payload), TestKey(who),
                                  /*timestamp=*/1000, nonce);
+}
+
+/// Unsigned transaction with a unique payload: cheap enough to fill
+/// hundreds of blocks.
+Transaction SystemTx(uint64_t n) {
+  return Transaction::MakeSystem("t", "test-channel",
+                                 ToBytes("tx-" + std::to_string(n)),
+                                 /*timestamp=*/1000, n);
+}
+
+/// Every main-chain transaction's recomputed id matches the id stored with
+/// its block, resolves to its own height and index, and proves.
+void ExpectStoredDigestsResolve(const Blockchain& chain) {
+  for (uint64_t h = 0; h <= chain.height(); ++h) {
+    const Block* block = chain.PeekBlock(h);
+    const std::vector<crypto::Digest>* ids = chain.PeekTxIds(h);
+    ASSERT_NE(block, nullptr);
+    ASSERT_NE(ids, nullptr);
+    ASSERT_EQ(ids->size(), block->transactions.size());
+    for (uint32_t i = 0; i < block->transactions.size(); ++i) {
+      const Transaction& tx = block->transactions[i];
+      const crypto::Digest id = tx.Id();
+      EXPECT_EQ((*ids)[i], id) << "height " << h << " tx " << i;
+      auto loc = chain.FindTransaction(id);
+      ASSERT_TRUE(loc.ok()) << "height " << h << " tx " << i;
+      EXPECT_EQ(loc->height, h);
+      EXPECT_EQ(loc->index, i);
+      auto proof = chain.ProveTransaction(id);
+      ASSERT_TRUE(proof.ok());
+      EXPECT_TRUE(chain.VerifyTxProof(tx.Encode(), proof.value()));
+    }
+  }
+}
+
+/// A view agrees with the live chain at every height: same installed
+/// hashes, and the very block objects PeekBlock hands out.
+void ExpectViewMatchesChain(const ChainView& view, const Blockchain& chain) {
+  ASSERT_EQ(view.height(), chain.height());
+  for (uint64_t h = 0; h <= view.height(); ++h) {
+    EXPECT_EQ(view.hash(h), chain.BlockHashAt(h).value()) << "height " << h;
+    EXPECT_EQ(&view.block(h), chain.PeekBlock(h)) << "height " << h;
+  }
 }
 
 TEST(TransactionTest, EncodeDecodeRoundTrip) {
@@ -275,6 +318,106 @@ TEST(BlockchainTest, ChannelScan) {
   ASSERT_EQ(on_a.size(), 2u);
   EXPECT_EQ(on_a[0].payload, ToBytes("1"));
   EXPECT_EQ(on_a[1].payload, ToBytes("3"));
+}
+
+TEST(BlockchainTest, StoredDigestsResolveOnEveryAcceptancePath) {
+  Blockchain chain;
+  Timestamp ts = 1000;
+  uint64_t n = 0;
+  ASSERT_TRUE(chain
+                  .Append({SignedTx("a", "alice", n++),
+                           SignedTx("b", "alice", n++),
+                           SignedTx("c", "bob", n++)},
+                          ++ts, "n")
+                  .ok());
+  std::vector<PreparedTx> prepared;
+  for (int i = 0; i < 5; ++i) {
+    Transaction tx = SystemTx(n++);
+    prepared.push_back(
+        PreparedTx{tx, tx.Id(), crypto::MerkleTree::LeafHash(tx.Encode())});
+  }
+  ASSERT_TRUE(chain.AppendPrepared(&prepared, ++ts, "n").ok());
+  Block external = Block::Make(chain.height() + 1, chain.head_hash(),
+                               {SystemTx(n++), SystemTx(n++)}, ++ts, "peer");
+  ASSERT_TRUE(chain.SubmitBlock(external).ok());
+  ASSERT_EQ(chain.height(), 3u);
+  ExpectStoredDigestsResolve(chain);
+
+  // A side branch from height 1 outgrows the main chain. After the reorg
+  // the index holds exactly the adopted chain, from stored ids.
+  const Transaction orphaned = chain.PeekBlock(2)->transactions[0];
+  crypto::Digest parent = chain.BlockHashAt(1).value();
+  for (uint64_t h = 2; h <= 4; ++h) {
+    Block side = Block::Make(h, parent, {SystemTx(n++), SystemTx(n++)},
+                             ++ts, "rival");
+    ASSERT_TRUE(chain.SubmitBlock(side).ok());
+    parent = side.header.Hash();
+  }
+  ASSERT_EQ(chain.height(), 4u);
+  ASSERT_EQ(chain.head_hash(), parent);
+  EXPECT_TRUE(chain.FindTransaction(orphaned.Id()).status().IsNotFound());
+  ExpectStoredDigestsResolve(chain);
+  EXPECT_TRUE(chain.VerifyIntegrity().ok());
+}
+
+TEST(ChainViewTest, PinnedViewSurvivesReorgsAndChunkSeals) {
+  Blockchain chain;
+  Timestamp ts = 1000;
+  uint64_t n = 0;
+  auto append = [&] {
+    ASSERT_TRUE(chain.Append({SystemTx(n++)}, ++ts, "n").ok());
+  };
+  // Branch of `count` blocks forking off main-chain height `fork`.
+  auto submit_branch = [&](uint64_t fork, uint64_t count) {
+    crypto::Digest parent = chain.BlockHashAt(fork).value();
+    for (uint64_t h = fork + 1; h <= fork + count; ++h) {
+      Block side = Block::Make(h, parent, {SystemTx(n++)}, ++ts, "rival");
+      ASSERT_TRUE(chain.SubmitBlock(side).ok());
+      parent = side.header.Hash();
+    }
+    ASSERT_EQ(chain.head_hash(), parent);
+  };
+  struct Pinned {
+    std::shared_ptr<const ChainView> view;
+    std::vector<crypto::Digest> hashes;
+    std::vector<Bytes> blocks;
+  };
+  auto pin = [&chain] {
+    Pinned p;
+    p.view = chain.AcquireChainView();
+    for (uint64_t h = 0; h <= p.view->height(); ++h) {
+      p.hashes.push_back(p.view->hash(h));
+      p.blocks.push_back(p.view->block(h).Encode());
+    }
+    return p;
+  };
+  auto expect_unchanged = [](const Pinned& p) {
+    ASSERT_EQ(p.view->height() + 1, p.hashes.size());
+    for (uint64_t h = 0; h <= p.view->height(); ++h) {
+      EXPECT_EQ(p.view->hash(h), p.hashes[h]) << "height " << h;
+      EXPECT_EQ(p.view->block(h).Encode(), p.blocks[h]) << "height " << h;
+    }
+  };
+
+  for (int i = 0; i < 5; ++i) append();
+  Pinned early = pin();
+  // Reorg inside the open chunk, then enough appends to seal three.
+  submit_branch(/*fork=*/3, /*count=*/4);
+  ASSERT_NE(chain.BlockHashAt(4).value(), early.hashes[4]);
+  while (chain.height() < 3 * ChainView::kChunkBlocks + 5) append();
+  expect_unchanged(early);
+  ExpectViewMatchesChain(*chain.AcquireChainView(), chain);
+
+  // Reorg forking inside a sealed chunk: the fresh view is rebuilt, the
+  // pinned ones keep every height they had.
+  Pinned late = pin();
+  const uint64_t fork = 2 * ChainView::kChunkBlocks - 1;
+  submit_branch(fork, chain.height() - fork + 1);
+  ASSERT_NE(chain.BlockHashAt(fork + 1).value(), late.hashes[fork + 1]);
+  expect_unchanged(early);
+  expect_unchanged(late);
+  ExpectViewMatchesChain(*chain.AcquireChainView(), chain);
+  ExpectStoredDigestsResolve(chain);
 }
 
 TEST(MempoolTest, DedupAndFifo) {

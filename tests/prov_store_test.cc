@@ -251,6 +251,43 @@ TEST_F(StoreTest, CachedBlockProvesWithoutMerkleRebuild) {
   EXPECT_EQ(chain_.merkle_tree_builds(), audit_baseline);
 }
 
+TEST_F(StoreTest, FollowerAndRebuildMapRecordsToSameTxids) {
+  std::vector<std::string> ids;
+  for (int b = 0; b < 3; ++b) {
+    std::vector<ProvenanceRecord> batch;
+    for (int i = 0; i < 4; ++i) {
+      ids.push_back("r" + std::to_string(b) + "-" + std::to_string(i));
+      batch.push_back(Rec(ids.back(), "f", "a", 100 + 10 * b + i));
+    }
+    ASSERT_TRUE(store_.AnchorBatch(batch).ok());
+  }
+  // A follower validates every block through SubmitBlock and applies it
+  // to its store one by one; a third store rebuilds from the same chain.
+  ledger::Blockchain follower_chain;
+  ProvenanceStore follower(&follower_chain, &clock_);
+  for (uint64_t h = 1; h <= chain_.height(); ++h) {
+    ASSERT_TRUE(follower_chain.SubmitBlock(*chain_.PeekBlock(h)).ok());
+    ASSERT_TRUE(follower.ApplyChainBlock(h).ok());
+  }
+  ProvenanceStore rebuilt(&follower_chain, &clock_);
+  ASSERT_TRUE(rebuilt.RebuildFromChain().ok());
+  for (const auto& id : ids) {
+    auto leader_txid = store_.RecordTxId(id);
+    auto follower_txid = follower.RecordTxId(id);
+    auto rebuilt_txid = rebuilt.RecordTxId(id);
+    ASSERT_TRUE(leader_txid.ok() && follower_txid.ok() && rebuilt_txid.ok())
+        << id;
+    EXPECT_EQ(follower_txid.value(), leader_txid.value()) << id;
+    EXPECT_EQ(rebuilt_txid.value(), leader_txid.value()) << id;
+    auto tx = follower_chain.GetTransaction(follower_txid.value());
+    ASSERT_TRUE(tx.ok()) << id;
+    EXPECT_EQ(tx->Id(), follower_txid.value()) << id;
+  }
+  auto audited = follower.AuditAll();
+  ASSERT_TRUE(audited.ok());
+  EXPECT_EQ(audited.value(), ids.size());
+}
+
 TEST_F(StoreTest, FlushIndexesWholeBatchPastMidBatchIndexFailure) {
   // Regression: a mid-batch IndexRecord failure used to abort the loop,
   // leaving that record AND the rest of the batch on-chain but invisible
