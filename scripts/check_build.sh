@@ -3,7 +3,8 @@
 #   1. build-check/    — full build (tests+benches+examples) under
 #      -Wall -Wextra -Werror (PROVLEDGER_WERROR), full ctest suite, then
 #      per-label passes (recovery, replication, encoding, fuzz, audit,
-#      obs) and the provbench smoke run with its output checks. The
+#      obs), the seed corpora regenerated and diffed against fuzz/corpus,
+#      and the provbench smoke run with its output checks. The
 #      class-level [[nodiscard]] on Status/Result makes every unjustified
 #      discard a compile error here.
 #   2. build-tsan/     — the `concurrency` + `encoding` + `audit` labels
@@ -40,6 +41,14 @@ ctest_tree "$BUILD" -L encoding
 # Deterministic fuzz pass: corpus replay + bounded mutation loop on every
 # harness (the corpus crash-* files are the decoder-bug regression suite).
 ctest_tree "$BUILD" -L fuzz
+# The seed corpora must regenerate byte for byte: they hold canonical
+# chain-log, snapshot, wire and proof encodings and the digests inside
+# them, so any drift in a format or a hash shows up as a diff here.
+require_binary "$BUILD/fuzz_make_corpus"
+CORPUS_OUT="$(mktemp -d)"
+trap 'rm -rf "$CORPUS_OUT"' EXIT
+"$BUILD/fuzz_make_corpus" "$CORPUS_OUT"
+diff -r "$CORPUS_OUT" "$ROOT/fuzz/corpus"
 # Continuous auditor + lineage proofs: tamper localization, adversarial
 # proof mutations, and the auditor-vs-ingest concurrency test.
 ctest_tree "$BUILD" -L audit

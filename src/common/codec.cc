@@ -1,5 +1,6 @@
 #include "common/codec.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace provledger {
@@ -195,6 +196,13 @@ Status Decoder::GetString(std::string* s) {
 Status Decoder::GetRaw(size_t len, Bytes* b) {
   PROVLEDGER_RETURN_NOT_OK(Need(len));
   b->assign(data_ + pos_, data_ + pos_ + len);
+  pos_ += len;
+  return Status::OK();
+}
+
+Status Decoder::GetRaw(size_t len, uint8_t* out) {
+  PROVLEDGER_RETURN_NOT_OK(Need(len));
+  std::copy(data_ + pos_, data_ + pos_ + len, out);
   pos_ += len;
   return Status::OK();
 }

@@ -97,6 +97,9 @@ class Decoder {
   Status GetString(std::string* s);
   /// Reads exactly `len` raw bytes.
   Status GetRaw(size_t len, Bytes* b);
+  /// Reads exactly `len` raw bytes into `out` (which must hold `len`):
+  /// fixed-size fields such as digests, with no temporary buffer.
+  Status GetRaw(size_t len, uint8_t* out);
   /// Bulk counterpart of Encoder::PutU32Array: one bounds check, one tight
   /// assemble loop. `max_count` caps the prefixed length (Corruption past
   /// it) so corrupt input cannot force a huge allocation.

@@ -7,7 +7,7 @@ void MerkleProof::EncodeTo(Encoder* enc) const {
   enc->PutU64(leaf_index);
   enc->PutU32(static_cast<uint32_t>(steps.size()));
   for (const auto& s : steps) {
-    enc->PutRaw(Bytes(s.sibling.begin(), s.sibling.end()));
+    enc->PutRaw(s.sibling.data(), s.sibling.size());
     enc->PutBool(s.sibling_on_left);
   }
 }
@@ -25,11 +25,10 @@ Result<MerkleProof> MerkleProof::DecodeFrom(Decoder* dec) {
     return Status::Corruption("merkle proof step count exceeds input");
   }
   proof.steps.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    Bytes raw;
-    PROVLEDGER_RETURN_NOT_OK(dec->GetRaw(kSha256DigestSize, &raw));
-    PROVLEDGER_ASSIGN_OR_RETURN(proof.steps[i].sibling, DigestFromBytes(raw));
-    PROVLEDGER_RETURN_NOT_OK(dec->GetBool(&proof.steps[i].sibling_on_left));
+  for (MerkleProofStep& step : proof.steps) {
+    PROVLEDGER_RETURN_NOT_OK(
+        dec->GetRaw(step.sibling.size(), step.sibling.data()));
+    PROVLEDGER_RETURN_NOT_OK(dec->GetBool(&step.sibling_on_left));
   }
   return proof;
 }

@@ -1,9 +1,16 @@
-// SHA-256 (FIPS 180-4), implemented from scratch. This is the only hash in
-// ProvLedger: transaction ids, block ids, Merkle nodes, content addresses,
-// hash-locks, and Fiat–Shamir challenges are all SHA-256 digests.
+// SHA-256 (FIPS 180-4). This is the only hash in ProvLedger: transaction
+// ids, block ids, Merkle nodes, content addresses, hash-locks, and
+// Fiat–Shamir challenges are all SHA-256 digests.
 //
-// Thread safety: the free functions are stateless and safe from any thread;
-// each streaming Sha256 instance is single-owner.
+// Two compression functions sit behind one interface: one on the x86 SHA
+// extensions (SHA-NI) and a portable C++ one. The process picks once, from
+// CPUID, on its first hash; nothing else selects between them. The
+// portable one runs on CPUs without SHA-NI and off x86, and is the
+// reference the tests check the other against. Both produce the same
+// digests.
+//
+// Thread safety: the free functions and static members are stateless and
+// safe from any thread; each streaming Sha256 instance is single-owner.
 
 #ifndef PROVLEDGER_CRYPTO_SHA256_H_
 #define PROVLEDGER_CRYPTO_SHA256_H_
@@ -49,9 +56,11 @@ class Sha256 {
   /// Hash of the concatenation a||b (the Merkle interior-node pattern).
   static Digest HashPair(const Digest& a, const Digest& b);
 
- private:
-  void ProcessBlock(const uint8_t* block);
+  /// True when this process hashes with the SHA-NI compression, false on
+  /// the portable one (reported as the crypto_sha256_accelerated gauge).
+  static bool HardwareAccelerated();
 
+ private:
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

@@ -20,8 +20,8 @@ uint64_t Block::merkle_root_computes() { return RootComputesCell()->value(); }
 
 void BlockHeader::EncodeTo(Encoder* enc) const {
   enc->PutU64(height);
-  enc->PutRaw(crypto::DigestToBytes(prev_hash));
-  enc->PutRaw(crypto::DigestToBytes(merkle_root));
+  enc->PutRaw(prev_hash.data(), prev_hash.size());
+  enc->PutRaw(merkle_root.data(), merkle_root.size());
   enc->PutI64(timestamp);
   enc->PutU64(nonce);
   enc->PutString(proposer);
@@ -30,11 +30,10 @@ void BlockHeader::EncodeTo(Encoder* enc) const {
 Result<BlockHeader> BlockHeader::DecodeFrom(Decoder* dec) {
   BlockHeader h;
   PROVLEDGER_RETURN_NOT_OK(dec->GetU64(&h.height));
-  Bytes raw;
-  PROVLEDGER_RETURN_NOT_OK(dec->GetRaw(crypto::kSha256DigestSize, &raw));
-  PROVLEDGER_ASSIGN_OR_RETURN(h.prev_hash, crypto::DigestFromBytes(raw));
-  PROVLEDGER_RETURN_NOT_OK(dec->GetRaw(crypto::kSha256DigestSize, &raw));
-  PROVLEDGER_ASSIGN_OR_RETURN(h.merkle_root, crypto::DigestFromBytes(raw));
+  PROVLEDGER_RETURN_NOT_OK(
+      dec->GetRaw(h.prev_hash.size(), h.prev_hash.data()));
+  PROVLEDGER_RETURN_NOT_OK(
+      dec->GetRaw(h.merkle_root.size(), h.merkle_root.data()));
   PROVLEDGER_RETURN_NOT_OK(dec->GetI64(&h.timestamp));
   PROVLEDGER_RETURN_NOT_OK(dec->GetU64(&h.nonce));
   PROVLEDGER_RETURN_NOT_OK(dec->GetString(&h.proposer));

@@ -18,6 +18,23 @@ void DigestTransactions(const std::vector<Transaction>& txs,
     out->ids.push_back(crypto::Sha256::Hash(enc.buffer()));
   }
 }
+
+// The Merkle tree pairs an odd level's last node with itself, so a block
+// that repeats its tail transactions ([a,b,c] sent as [a,b,c,c]) keeps the
+// root and the header hash of the honest block (CVE-2012-2459). Rejecting
+// any block that carries one transaction twice, as Bitcoin does, leaves a
+// header hash exactly one valid body.
+Status CheckDistinctIds(const std::vector<crypto::Digest>& ids) {
+  std::unordered_set<crypto::Digest, DigestHash> seen;
+  seen.reserve(ids.size());
+  for (const crypto::Digest& id : ids) {
+    if (!seen.insert(id).second) {
+      return Status::InvalidArgument("block repeats transaction " +
+                                     crypto::DigestHex(id));
+    }
+  }
+  return Status::OK();
+}
 }  // namespace
 
 void ChainView::Push(std::shared_ptr<const StoredBlock> block) {
@@ -44,6 +61,10 @@ Blockchain::Blockchain(ChainOptions options) : options_(std::move(options)) {
       "Merkle proof trees built (cache misses on the proof path)");
   height_gauge_ =
       registry->GetGauge("chain_height", "Main-chain head height");
+  registry
+      ->GetGauge("crypto_sha256_accelerated",
+                 "SHA-256 compression in use: 1 = SHA-NI, 0 = portable")
+      ->Set(crypto::Sha256::HardwareAccelerated() ? 1 : 0);
   // Genesis: one system transaction binding the chain id.
   Transaction genesis_tx = Transaction::MakeSystem(
       "genesis", "", ToBytes(options_.chain_id), /*timestamp=*/0, /*nonce=*/0);
@@ -81,7 +102,7 @@ BlockHeader Blockchain::HeaderOnHead(const crypto::Digest& merkle_root,
 }
 
 Status Blockchain::ValidateBlock(const Block& block, const Block& parent,
-                                 StoredBlock* derive_into) const {
+                                 bool derive, StoredBlock* digests) const {
   // No prev_hash check: the sole caller (ValidateAndPersist) fetched
   // `parent` from blocks_ by block.header.prev_hash, and every stored
   // block is keyed by its own header hash — the link equality is
@@ -97,13 +118,14 @@ Status Blockchain::ValidateBlock(const Block& block, const Block& parent,
       block.transactions.size() > options_.max_block_txs) {
     return Status::InvalidArgument("block exceeds max transaction count");
   }
-  if (derive_into != nullptr) {
-    DigestTransactions(block.transactions, derive_into);
-    if (Block::MerkleRootFromLeaves(derive_into->leaves) !=
+  if (derive) {
+    DigestTransactions(block.transactions, digests);
+    if (Block::MerkleRootFromLeaves(digests->leaves) !=
         block.header.merkle_root) {
       return Status::Corruption("merkle root does not match transactions");
     }
   }
+  PROVLEDGER_RETURN_NOT_OK(CheckDistinctIds(digests->ids));
   for (const auto& tx : block.transactions) {
     if (!tx.IsSigned() && !options_.allow_unsigned) {
       return Status::PermissionDenied("unsigned transactions not allowed");
@@ -130,7 +152,7 @@ Result<crypto::Digest> Blockchain::Append(std::vector<Transaction> txs,
   stored.block.transactions = std::move(txs);
   stored.hash = stored.block.header.Hash();
   PROVLEDGER_RETURN_NOT_OK(
-      ValidateAndPersist(stored.block, stored.hash, /*derive_into=*/nullptr));
+      ValidateAndPersist(stored.block, /*derive=*/false, &stored));
   const crypto::Digest hash = stored.hash;
   InstallBlock(std::move(stored));
   return hash;
@@ -163,8 +185,7 @@ Result<crypto::Digest> Blockchain::AppendPrepared(
   // failure point runs before `stored` is consumed, so on error the
   // transactions are still here and move straight back into the caller's
   // PreparedTx vector for retry.
-  Status accepted =
-      ValidateAndPersist(block, stored.hash, /*derive_into=*/nullptr);
+  Status accepted = ValidateAndPersist(block, /*derive=*/false, &stored);
   if (!accepted.ok()) {
     for (size_t i = 0; i < txs->size(); ++i) {
       (*txs)[i].tx = std::move(block.transactions[i]);
@@ -183,17 +204,17 @@ Status Blockchain::SubmitBlock(const Block& block) {
   stored.hash = block.header.Hash();
   // Validate against the caller's block; the deep copy (every transaction
   // payload) is only paid once the block is actually going in.
-  PROVLEDGER_RETURN_NOT_OK(ValidateAndPersist(block, stored.hash, &stored));
+  PROVLEDGER_RETURN_NOT_OK(
+      ValidateAndPersist(block, /*derive=*/true, &stored));
   stored.block = block;
   InstallBlock(std::move(stored));
   return Status::OK();
 }
 
-Status Blockchain::ValidateAndPersist(const Block& block,
-                                      const crypto::Digest& hash,
-                                      StoredBlock* derive_into) {
+Status Blockchain::ValidateAndPersist(const Block& block, bool derive,
+                                      StoredBlock* digests) {
   obs::ScopedTimer timer(validate_seconds_);
-  if (blocks_.count(hash)) {
+  if (blocks_.count(digests->hash)) {
     return Status::AlreadyExists("block already known");
   }
   auto parent_it = blocks_.find(block.header.prev_hash);
@@ -201,7 +222,7 @@ Status Blockchain::ValidateAndPersist(const Block& block,
     return Status::NotFound("parent block unknown");
   }
   PROVLEDGER_RETURN_NOT_OK(
-      ValidateBlock(block, parent_it->second->block, derive_into));
+      ValidateBlock(block, parent_it->second->block, derive, digests));
 
   // Write-ahead: the block must be durable before any in-memory state
   // changes, so a crash can never leave the memory view ahead of the log.

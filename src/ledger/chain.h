@@ -298,22 +298,24 @@ class Blockchain {
   BlockHeader HeaderOnHead(const crypto::Digest& merkle_root,
                            Timestamp timestamp, const std::string& proposer,
                            uint64_t nonce) const;
-  /// Height/timestamp/size/signature checks against `parent`. With
-  /// `derive_into`, the block came from outside (SubmitBlock): each
-  /// transaction's leaf and id are derived from one encoding into
-  /// `*derive_into` and the header's Merkle root is checked against those
-  /// leaves. Append and AppendPrepared pass nullptr: their root was
-  /// assembled from the very digests they install, one call earlier.
-  Status ValidateBlock(const Block& block, const Block& parent,
-                       StoredBlock* derive_into) const;
+  /// Height/timestamp/size/signature checks against `parent`, and no
+  /// transaction id twice in `digests->ids`. With `derive`, the block came
+  /// from outside (SubmitBlock): each transaction's leaf and id are first
+  /// derived from one encoding into `*digests` and the header's Merkle
+  /// root is checked against those leaves. Append and AppendPrepared pass
+  /// the digests they already hold: their root was assembled from those
+  /// very digests, one call earlier.
+  Status ValidateBlock(const Block& block, const Block& parent, bool derive,
+                       StoredBlock* digests) const;
   /// Every fallible acceptance step — duplicate check, parent lookup,
   /// validation, block-sink write — without consuming the block, all
   /// inside chain_validate_seconds. Callers that need the transactions
   /// back on failure (AppendPrepared's retry hand-back) run this first;
   /// the block is only moved into the chain by InstallBlock after this
-  /// succeeds. `hash` is block.header.Hash(), computed once per acceptance.
-  Status ValidateAndPersist(const Block& block, const crypto::Digest& hash,
-                            StoredBlock* derive_into);
+  /// succeeds. `digests->hash` is block.header.Hash(), computed once per
+  /// acceptance; `derive` and `digests` are as for ValidateBlock.
+  Status ValidateAndPersist(const Block& block, bool derive,
+                            StoredBlock* digests);
   /// Infallible final stage: store the block (by move) and run fork
   /// choice. `stored` carries the block, its hash and its digests. Must
   /// only be called after ValidateAndPersist succeeded (or for genesis).

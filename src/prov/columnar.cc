@@ -302,10 +302,8 @@ Status DecodeRecordColumns(Decoder* dec, const DictReader& dict, size_t n,
     if (flag == 0) {
       r.payload_hash = crypto::ZeroDigest();
     } else if (flag == 1) {
-      Bytes raw;
-      PROVLEDGER_RETURN_NOT_OK(dec->GetRaw(crypto::kSha256DigestSize, &raw));
-      PROVLEDGER_ASSIGN_OR_RETURN(r.payload_hash,
-                                  crypto::DigestFromBytes(raw));
+      PROVLEDGER_RETURN_NOT_OK(
+          dec->GetRaw(r.payload_hash.size(), r.payload_hash.data()));
     } else {
       return Status::Corruption("bad payload-hash flag in columnar batch");
     }

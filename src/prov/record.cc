@@ -66,7 +66,7 @@ void ProvenanceRecord::EncodeTo(Encoder* enc) const {
     enc->PutString(key);
     enc->PutString(value);
   }
-  enc->PutRaw(crypto::DigestToBytes(payload_hash));
+  enc->PutRaw(payload_hash.data(), payload_hash.size());
 }
 
 Bytes ProvenanceRecord::Encode() const {
@@ -122,9 +122,8 @@ Result<ProvenanceRecord> ProvenanceRecord::DecodeFrom(Decoder* dec) {
     }
     rec.fields.emplace(std::move(key), std::move(value));
   }
-  Bytes raw;
-  PROVLEDGER_RETURN_NOT_OK(dec->GetRaw(crypto::kSha256DigestSize, &raw));
-  PROVLEDGER_ASSIGN_OR_RETURN(rec.payload_hash, crypto::DigestFromBytes(raw));
+  PROVLEDGER_RETURN_NOT_OK(
+      dec->GetRaw(rec.payload_hash.size(), rec.payload_hash.data()));
   return rec;
 }
 

@@ -510,7 +510,7 @@ Status ProvenanceStore::SaveSnapshot(const std::string& path) const {
   if (!head_hash.ok()) {
     return Status::Internal("chain has no block at its own height");
   }
-  body.PutRaw(crypto::DigestToBytes(head_hash.value()));
+  body.PutRaw(head_hash->data(), head_hash->size());
   body.PutU64(nonce_);
   body.PutU64(anchored_count_);
   graph_.Image().EncodeTo(&body);
@@ -581,10 +581,9 @@ Status ProvenanceStore::LoadSnapshot(const std::string& path) {
   }
   uint64_t snapshot_height = 0;
   PROVLEDGER_RETURN_NOT_OK(dec.GetU64(&snapshot_height));
-  Bytes hash_raw;
-  PROVLEDGER_RETURN_NOT_OK(dec.GetRaw(crypto::kSha256DigestSize, &hash_raw));
-  PROVLEDGER_ASSIGN_OR_RETURN(crypto::Digest snapshot_hash,
-                              crypto::DigestFromBytes(hash_raw));
+  crypto::Digest snapshot_hash{};
+  PROVLEDGER_RETURN_NOT_OK(
+      dec.GetRaw(snapshot_hash.size(), snapshot_hash.data()));
   if (snapshot_height > chain_->height()) {
     return Status::FailedPrecondition(
         "snapshot height " + std::to_string(snapshot_height) +

@@ -252,7 +252,8 @@ Bytes ReplicatedNode::StatusPayload(bool probe) const {
   Encoder enc;
   enc.PutU8(probe ? 1 : 0);  // probe asks the receiver to reply in kind
   enc.PutU64(chain_.height());
-  enc.PutRaw(crypto::DigestToBytes(chain_.head_hash()));
+  const crypto::Digest head = chain_.head_hash();
+  enc.PutRaw(head.data(), head.size());
   return enc.TakeBuffer();
 }
 
@@ -274,9 +275,9 @@ void ReplicatedNode::HandleStatus(const network::Message& message) {
   Decoder dec(message.payload);
   uint8_t probe = 0;
   uint64_t peer_height = 0;
-  Bytes peer_head;
+  crypto::Digest peer_head{};
   if (!dec.GetU8(&probe).ok() || !dec.GetU64(&peer_height).ok() ||
-      !dec.GetRaw(crypto::kSha256DigestSize, &peer_head).ok() ||
+      !dec.GetRaw(peer_head.size(), peer_head.data()).ok() ||
       !dec.AtEnd()) {
     return;  // short or oversized status: not a frame any peer sends
   }

@@ -1,9 +1,12 @@
 // Ledger tests: transaction signing/encoding, block Merkle roots, chain
 // validation, immutability (the paper's Figure 2 property), fork choice,
-// transaction proofs, stored per-transaction digests, chunked ChainViews,
-// and the mempool.
+// transaction proofs, stored per-transaction digests, repeated-transaction
+// rejection, fixed golden digests, chunked ChainViews, and the mempool.
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "ledger/chain.h"
 
@@ -358,6 +361,105 @@ TEST(BlockchainTest, StoredDigestsResolveOnEveryAcceptancePath) {
   EXPECT_TRUE(chain.FindTransaction(orphaned.Id()).status().IsNotFound());
   ExpectStoredDigestsResolve(chain);
   EXPECT_TRUE(chain.VerifyIntegrity().ok());
+}
+
+TEST(BlockchainTest, RepeatedTailTransactionsAreRejected) {
+  // An odd Merkle level pairs its last node with itself, so repeating a
+  // block's tail keeps its root and its hash (CVE-2012-2459): [a,b,c] as
+  // [a,b,c,c], and [a..f] as [a..f,e,f].
+  for (const auto& [count, tail] :
+       std::vector<std::pair<uint64_t, uint64_t>>{{3, 1}, {6, 2}}) {
+    SCOPED_TRACE(count);
+    Blockchain chain;
+    size_t sunk = 0;
+    chain.SetBlockSink([&sunk](const Block&) {
+      ++sunk;
+      return Status::OK();
+    });
+    std::vector<Transaction> txs;
+    for (uint64_t i = 0; i < count; ++i) txs.push_back(SystemTx(i));
+    const Block honest = Block::Make(1, chain.head_hash(), txs, 1000, "peer");
+    Block mutated = honest;
+    for (uint64_t i = count - tail; i < count; ++i) {
+      mutated.transactions.push_back(txs[i]);
+    }
+    ASSERT_EQ(Block::ComputeMerkleRoot(mutated.transactions),
+              honest.header.merkle_root);
+    ASSERT_EQ(mutated.header.Hash(), honest.header.Hash());
+
+    EXPECT_TRUE(chain.SubmitBlock(mutated).IsInvalidArgument());
+    EXPECT_EQ(chain.height(), 0u);
+    EXPECT_EQ(sunk, 0u);  // refused before the write-ahead sink
+    ASSERT_TRUE(chain.SubmitBlock(honest).ok());
+    EXPECT_EQ(chain.height(), 1u);
+    EXPECT_EQ(chain.PeekBlock(1)->transactions.size(), count);
+    EXPECT_TRUE(chain.VerifyIntegrity().ok());
+  }
+}
+
+TEST(BlockchainTest, AppendPathsRejectRepeatedTransactions) {
+  // A block built locally must replay through SubmitBlock from the chain
+  // log, so the local paths refuse what SubmitBlock would refuse.
+  Blockchain chain;
+  size_t sunk = 0;
+  chain.SetBlockSink([&sunk](const Block&) {
+    ++sunk;
+    return Status::OK();
+  });
+  const Transaction first = SystemTx(0);
+  const Transaction repeated = SystemTx(1);
+  EXPECT_TRUE(chain.Append({first, repeated, repeated}, 1000, "n")
+                  .status()
+                  .IsInvalidArgument());
+
+  std::vector<PreparedTx> prepared;
+  for (const Transaction& tx : {first, repeated, repeated}) {
+    prepared.push_back(
+        PreparedTx{tx, tx.Id(), crypto::MerkleTree::LeafHash(tx.Encode())});
+  }
+  EXPECT_TRUE(chain.AppendPrepared(&prepared, 1000, "n")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(chain.height(), 0u);
+  EXPECT_EQ(sunk, 0u);
+  // The refused transactions come back intact, in order, for a retry.
+  ASSERT_EQ(prepared.size(), 3u);
+  EXPECT_EQ(prepared[0].tx.Id(), first.Id());
+  EXPECT_EQ(prepared[1].tx.Id(), repeated.Id());
+  EXPECT_EQ(prepared[2].tx.Id(), repeated.Id());
+  prepared.pop_back();
+  ASSERT_TRUE(chain.AppendPrepared(&prepared, 1000, "n").ok());
+  EXPECT_TRUE(prepared.empty());
+  EXPECT_EQ(chain.height(), 1u);
+  EXPECT_EQ(sunk, 1u);
+}
+
+TEST(BlockchainTest, DigestsMatchGoldens) {
+  // Transaction ids, Merkle leaves and roots, and header hashes are kept
+  // in chain logs and snapshots and sent between nodes, so fixed inputs
+  // must give these digests whichever SHA-256 compression the CPU runs.
+  const Transaction tx = Transaction::MakeSystem(
+      "prov/record", "golden", ToBytes("golden-payload"), 1234567, 42);
+  EXPECT_EQ(crypto::DigestHex(tx.Id()),
+            "8cb6ddfcba7454660b47b894f165433d17ecfe8014d61b3b746b3343b7b4f1ea");
+  EXPECT_EQ(crypto::DigestHex(crypto::MerkleTree::LeafHash(tx.Encode())),
+            "a9345423bb950c8b715ec5776b47d33e3cdc5625658b24e601351821413ac34a");
+
+  std::vector<Transaction> txs;
+  for (uint64_t i = 0; i < 3; ++i) {
+    txs.push_back(Transaction::MakeSystem(
+        "prov/record", "golden", ToBytes("payload-" + std::to_string(i)),
+        static_cast<Timestamp>(1000 + i), i));
+  }
+  const Block block = Block::Make(7, crypto::Sha256::Hash("parent"), txs,
+                                  2000, "golden-node");
+  EXPECT_EQ(crypto::DigestHex(block.header.merkle_root),
+            "4f3110685792b6ee2f2b5b515666914911b3362519c2b03fb520e5308a856e7a");
+  EXPECT_EQ(crypto::DigestHex(block.header.Hash()),
+            "bd3e7eae7c0b0b0e95f0ad0c31f87c8cbe5e2d9adbdceaa526220a6731a1d38a");
+  EXPECT_EQ(crypto::DigestHex(crypto::MerkleTree::NodeHash(
+                crypto::Sha256::Hash("left"), crypto::Sha256::Hash("right"))),
+            "09bda0c49344a4274d2202b56814924b5a20542fa05d321b5476b1cff86e4f1e");
 }
 
 TEST(ChainViewTest, PinnedViewSurvivesReorgsAndChunkSeals) {

@@ -2,7 +2,8 @@
 // convergence under every consensus engine (identical head hash + full
 // AuditAll on every node), multi-group partition + heal, crash/restart-
 // from-disk + rejoin catch-up, deep-lag ranged sync, minority-fork reorg
-// on heal, and divergent-fork rejection.
+// on heal, divergent-fork rejection, and the repeated-transaction form of
+// a valid block.
 
 #include <gtest/gtest.h>
 
@@ -285,6 +286,54 @@ TEST(ReplicationTest, TamperedBlockIsRejectedEverywhere) {
   ExpectConvergedWithAudit(cluster->get(), 6);
 }
 
+TEST(ReplicationTest, RepeatedTailBlockIsRejectedEverywhere) {
+  ClusterOptions options;
+  options.num_nodes = 3;
+  options.seed = 29;
+  auto cluster = Cluster::Create(options);
+  ASSERT_TRUE(cluster.ok());
+  Ingest(cluster->get(), "ok", 6, 3);
+  auto head_before = (*cluster)->ConvergedHead();
+  ASSERT_TRUE(head_before.ok());
+
+  // A valid next block of three records, and the same block with its last
+  // transaction repeated: one Merkle root, one header hash, two bodies.
+  ReplicatedNode* rogue = (*cluster)->node(0);
+  std::vector<ledger::Transaction> txs;
+  for (int i = 0; i < 3; ++i) {
+    auto prepared = rogue->store()->PrepareRecord(
+        Rec("next-" + std::to_string(i), "subject-next", "agent-0", 5000 + i),
+        /*nonce=*/1000 + i);
+    ASSERT_TRUE(prepared.ok());
+    txs.push_back(prepared->tx);
+  }
+  const ledger::Block* head = rogue->chain()->PeekBlock(rogue->height());
+  const ledger::Block honest =
+      ledger::Block::Make(head->header.height + 1, head_before.value(), txs,
+                          head->header.timestamp + 1, "rogue");
+  ledger::Block mutated = honest;
+  mutated.transactions.push_back(txs.back());
+  ASSERT_EQ(mutated.header.Hash(), honest.header.Hash());
+
+  // Each form reaches a different node first; AntiEntropy then spreads
+  // whichever body was accepted.
+  (*cluster)->net()->Send(0, 1, "repl/block", mutated.Encode());
+  (*cluster)->net()->Send(0, 2, "repl/block", honest.Encode());
+  (*cluster)->RunUntilIdle();
+  EXPECT_GE((*cluster)->node(1)->metrics().blocks_rejected, 1u);
+  (*cluster)->AntiEntropy();
+
+  for (network::NodeId i = 0; i < 3; ++i) {
+    ReplicatedNode* node = (*cluster)->node(i);
+    ASSERT_EQ(node->height(), honest.header.height) << node->name();
+    const ledger::Block* body = node->chain()->PeekBlock(node->height());
+    EXPECT_EQ(body->transactions.size(), honest.transactions.size())
+        << node->name();
+    EXPECT_TRUE(body->Encode() == honest.Encode()) << node->name();
+  }
+  ExpectConvergedWithAudit(cluster->get(), 6 + 3);
+}
+
 TEST(ReplicationTest, ForeignChainNeverAttaches) {
   ClusterOptions options;
   options.num_nodes = 3;
@@ -510,6 +559,12 @@ TEST(ReplicationTest, EveryNodeAnswersMetricsOverWire) {
     ASSERT_TRUE(asker->last_metrics().received);
     const std::string& body = asker->last_metrics().body;
     EXPECT_NE(body.find("chain_height 4"), std::string::npos) << body;
+    // Which SHA-256 compression the node validates with.
+    EXPECT_NE(body.find(crypto::Sha256::HardwareAccelerated()
+                            ? "crypto_sha256_accelerated 1"
+                            : "crypto_sha256_accelerated 0"),
+              std::string::npos)
+        << body;
     EXPECT_NE(body.find("# TYPE chain_append_seconds histogram"),
               std::string::npos);
     // One registry per node: the serve we just triggered is the only
