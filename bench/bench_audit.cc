@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -78,14 +79,16 @@ int Run(const std::string& json_path, size_t n) {
   // ---------------------------------------------------- lineage proofs
   SimClock clock(1'000'000);
   ledger::Blockchain chain;
-  prov::ProvenanceStoreOptions store_opts;
-  store_opts.batch_size = 64;  // multi-leaf trees -> real Merkle paths
-  prov::ProvenanceStore store(&chain, &clock, store_opts);
+  prov::ProvenanceStore store(&chain, &clock);
   std::vector<prov::ProvenanceRecord> workload = MakeWorkload(n);
 
   auto t0 = BenchClock::now();
-  for (const auto& rec : workload) Must(store.Anchor(rec));
-  Must(store.Flush());
+  // Blocks of 64 records: multi-leaf trees -> real Merkle paths.
+  for (size_t i = 0; i < workload.size(); i += 64) {
+    Must(store.AnchorBatch(std::vector<prov::ProvenanceRecord>(
+        workload.begin() + i,
+        workload.begin() + std::min(workload.size(), i + 64))));
+  }
   double ingest_s = ElapsedS(t0);
   std::printf("  ingest: %.0f rec/s over %llu blocks\n", n / ingest_s,
               static_cast<unsigned long long>(chain.height()));
@@ -127,9 +130,7 @@ int Run(const std::string& json_path, size_t n) {
   // -------------------------------- continuous audit vs live ingest
   SystemClock live_clock;
   ledger::Blockchain live_chain;
-  prov::ProvenanceStoreOptions live_opts;
-  live_opts.batch_size = 64;
-  prov::ProvenanceStore live_store(&live_chain, &live_clock, live_opts);
+  prov::ProvenanceStore live_store(&live_chain, &live_clock);
 
   audit::ContinuousAuditorOptions audit_opts;
   audit_opts.max_blocks_per_pass = 32;

@@ -1,7 +1,8 @@
 // Concurrent ingest + snapshot-read benchmark for the sharded pipeline:
 //
-//   baseline:  single-threaded AnchorBatch loop (the pre-pipeline write
-//              path), one block per batch;
+//   baseline:  single-threaded AnchorBatch loop (the store's write path
+//              run inline: PrepareRecord + AnchorPrepared), one block per
+//              batch;
 //   pipeline:  multi-producer IngestPipeline at shard counts 1/2/4/8 —
 //              same batch size, same block shape, producers submitting
 //              concurrently while shard workers prepare (validate +

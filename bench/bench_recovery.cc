@@ -6,8 +6,9 @@
 //             RebuildFromChain() (decode + validate + re-hash + re-index
 //             every anchored record);
 //   clean:    LoadSnapshot() of the shutdown snapshot — bulk-deserialize
-//             the dense-id graph and rec/ index, derived structures
-//             hydrating lazily on first use; zero chain tail to replay;
+//             the dense-id graph's row groups and the txid column,
+//             derived structures hydrating lazily on first use; zero
+//             chain tail to replay;
 //   crash:    LoadSnapshot() of an earlier (99%) snapshot plus replay of
 //             the chain tail past its height — the path taken when the
 //             process died after its last periodic snapshot.
@@ -91,18 +92,26 @@ int Run(const std::string& json_path, size_t n) {
   }
   if (!(*log)->AttachTo(&chain).ok()) return 1;
 
-  prov::ProvenanceStoreOptions store_opts;
-  store_opts.batch_size = 512;
-  prov::ProvenanceStore store(&chain, &clock, store_opts);
+  prov::ProvenanceStore store(&chain, &clock);
+  // Records go in as blocks of 512; the crash snapshot cuts one short.
+  constexpr size_t kBlockRecords = 512;
+  std::vector<prov::ProvenanceRecord> batch;
+  auto anchor_batch = [&]() {
+    Status s = store.AnchorBatch(batch);
+    batch.clear();
+    return s;
+  };
 
-  const uint64_t roots_before = ledger::Block::merkle_root_computes();
+  obs::Counter* roots = obs::Registry::Default()->GetCounter(
+      "merkle_root_computes_total", "");
+  const uint64_t roots_before = roots->value();
   double ingest_s = 0, crash_save_s = 0, clean_save_s = 0;
   auto t0 = BenchClock::now();
   for (size_t i = 0; i < n; ++i) {
     if (i == crash_snapshot_at) {
       // The periodic snapshot a long-lived node would take mid-flight.
       ingest_s += ElapsedS(t0);
-      if (!store.Flush().ok()) return 1;  // snapshot covers anchored state
+      if (!anchor_batch().ok()) return 1;  // snapshot covers anchored state
       auto ts = BenchClock::now();
       if (!store.SaveSnapshot(crash_snapshot).ok()) {
         std::fprintf(stderr, "SaveSnapshot failed\n");
@@ -111,12 +120,13 @@ int Run(const std::string& json_path, size_t n) {
       crash_save_s = ElapsedS(ts);
       t0 = BenchClock::now();
     }
-    if (!store.Anchor(workload[i]).ok()) {
+    batch.push_back(workload[i]);
+    if (batch.size() == kBlockRecords && !anchor_batch().ok()) {
       std::fprintf(stderr, "anchor failed at %zu\n", i);
       return 1;
     }
   }
-  if (!store.Flush().ok() || !(*log)->Sync().ok()) return 1;
+  if (!anchor_batch().ok() || !(*log)->Sync().ok()) return 1;
   ingest_s += ElapsedS(t0);
   // The shutdown snapshot of a clean exit: taken at the final height.
   t0 = BenchClock::now();
@@ -125,10 +135,10 @@ int Run(const std::string& json_path, size_t n) {
 
   const uint64_t blocks = chain.height();
   const double roots_per_block =
-      static_cast<double>(ledger::Block::merkle_root_computes() -
-                          roots_before) /
+      static_cast<double>(roots->value() - roots_before) /
       static_cast<double>(blocks);
-  const uint64_t tail_blocks = blocks - (crash_snapshot_at + 511) / 512;
+  const uint64_t tail_blocks =
+      blocks - (crash_snapshot_at + kBlockRecords - 1) / kBlockRecords;
   std::printf("  ingest: %.0f rec/s over %llu blocks, %.2f merkle roots/block"
               " (fixed from 2.00)\n",
               n / ingest_s, static_cast<unsigned long long>(blocks),
@@ -151,7 +161,7 @@ int Run(const std::string& json_path, size_t n) {
               chain_reload_s, blocks / chain_reload_s);
 
   // ------------------------------------------------------------ cold rebuild
-  prov::ProvenanceStore rebuilt(&cold_chain, &clock, store_opts);
+  prov::ProvenanceStore rebuilt(&cold_chain, &clock);
   t0 = BenchClock::now();
   if (!rebuilt.RebuildFromChain().ok()) {
     std::fprintf(stderr, "RebuildFromChain failed\n");
@@ -160,7 +170,7 @@ int Run(const std::string& json_path, size_t n) {
   double rebuild_s = ElapsedS(t0);
 
   // --------------------------------------------- snapshot restore (clean)
-  prov::ProvenanceStore restored(&cold_chain, &clock, store_opts);
+  prov::ProvenanceStore restored(&cold_chain, &clock);
   t0 = BenchClock::now();
   if (!restored.LoadSnapshot(clean_snapshot).ok()) {
     std::fprintf(stderr, "LoadSnapshot (clean) failed\n");
@@ -180,7 +190,7 @@ int Run(const std::string& json_path, size_t n) {
   if (first_hits == 0 || lineage_n == 0 || hits == 0) return 1;
 
   // --------------------------------------- snapshot restore (crash + tail)
-  prov::ProvenanceStore crash_restored(&cold_chain, &clock, store_opts);
+  prov::ProvenanceStore crash_restored(&cold_chain, &clock);
   t0 = BenchClock::now();
   if (!crash_restored.LoadSnapshot(crash_snapshot).ok()) {
     std::fprintf(stderr, "LoadSnapshot (crash) failed\n");

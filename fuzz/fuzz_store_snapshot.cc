@@ -3,9 +3,11 @@
 // rebuilds that index vectors by the ids stored in the columns. Trust
 // boundary: the snapshot file a restart loads. Each input is the graph
 // section of a snapshot body; the harness wraps it in a valid header
-// (magic, chain binding, checksum) so mutations reach the decoder instead
-// of dying at the checksum. Strict canonical: a decodable image
-// re-encodes bit-identically.
+// (magic, chain binding, checksum) and a txid column sized to the image,
+// so mutations reach the decoder instead of dying at the checksum. Strict
+// canonical: a decodable image re-encodes bit-identically. Not vacuous:
+// the load must succeed exactly when the input is a whole image, so a
+// header this harness writes in a stale format fails every input.
 
 #include "harnesses.h"
 
@@ -24,8 +26,8 @@ void FuzzStoreSnapshot(const uint8_t* data, size_t size) {
   if (dir.empty()) return;
   const std::string path = dir + "/store.snap";
 
-  // The rec/ index section must claim as many entries as the graph holds
-  // for the load to succeed, so decode once up front to learn the count.
+  // The txid column must hold one digest per graph row for the load to
+  // succeed, so decode once up front to learn the count.
   Bytes input(data, data + size);
   prov::GraphImage image;
   Decoder peek(input);
@@ -36,6 +38,10 @@ void FuzzStoreSnapshot(const uint8_t* data, size_t size) {
     PROVLEDGER_FUZZ_REQUIRE(
         again.buffer() == Bytes(input.begin(), input.begin() + peek.position()));
   }
+  // An image with no trailing bytes: exactly the inputs that must load.
+  const bool whole = decodes && peek.AtEnd();
+  const uint32_t rows =
+      decodes ? static_cast<uint32_t>(image.record_count()) : 0;
 
   ledger::Blockchain chain;
   auto genesis = chain.BlockHashAt(0);
@@ -45,12 +51,17 @@ void FuzzStoreSnapshot(const uint8_t* data, size_t size) {
   body.PutU64(0);
   body.PutRaw(crypto::DigestToBytes(genesis.value()));
   body.PutU64(0);  // nonce
-  body.PutU64(decodes ? image.record_count() : 0);
+  body.PutU64(rows);  // anchored count
   body.PutRaw(input);
-  body.PutU32(4);
-  body.PutU32(static_cast<uint32_t>(decodes ? image.record_count() : 0));
+  auto txid_of = [](uint32_t row) {
+    return crypto::Sha256::Hash(ToBytes(std::to_string(row)));
+  };
+  body.PutU32(rows);
+  for (uint32_t row = 0; row < rows; ++row) {
+    body.PutRaw(crypto::DigestToBytes(txid_of(row)));
+  }
   Encoder file;
-  file.PutRaw(ToBytes("PLSNAP03"));
+  file.PutRaw(ToBytes("PLSNAP04"));
   file.PutU32(static_cast<uint32_t>(body.size()));
   file.PutU64(Hash64(body.buffer()));
   file.PutRaw(body.buffer());
@@ -59,7 +70,9 @@ void FuzzStoreSnapshot(const uint8_t* data, size_t size) {
 
   SimClock clock(1'000'000);
   prov::ProvenanceStore store(&chain, &clock);
-  if (!store.LoadSnapshot(path).ok()) return;
+  const bool loaded = store.LoadSnapshot(path).ok();
+  PROVLEDGER_FUZZ_REQUIRE(loaded == whole);
+  if (!loaded) return;
 
   // One query per index kind, each forcing its first-touch rebuild. No
   // answer can exceed what the image holds.
@@ -72,6 +85,13 @@ void FuzzStoreSnapshot(const uint8_t* data, size_t size) {
   auto first = store.Execute(prov::Query().Limit(1));  // full scan
   if (first.records.empty()) return;
   const prov::ProvenanceRecord rec = first.records[0];
+  // The column answers for whichever row the graph resolves the id to (a
+  // row whose bytes fail to decode comes back as an empty record).
+  const uint32_t row = graph.RecordRow(rec.record_id);
+  auto txid = store.RecordTxId(rec.record_id);
+  PROVLEDGER_FUZZ_REQUIRE(row == prov::InternTable::kNone
+                              ? txid.status().IsNotFound()
+                              : txid.ok() && txid.value() == txid_of(row));
   PROVLEDGER_FUZZ_REQUIRE(
       bounded(store.Execute(prov::Query().WithSubject(rec.subject))));
   PROVLEDGER_FUZZ_REQUIRE(bounded(

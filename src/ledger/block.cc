@@ -7,7 +7,7 @@ namespace ledger {
 
 namespace {
 // The process-wide root-compute counter lives on the default metric
-// registry; merkle_root_computes() is a thin read of the same cell.
+// registry.
 obs::Counter* RootComputesCell() {
   static obs::Counter* cell = obs::Registry::Default()->GetCounter(
       "merkle_root_computes_total",
@@ -15,8 +15,6 @@ obs::Counter* RootComputesCell() {
   return cell;
 }
 }  // namespace
-
-uint64_t Block::merkle_root_computes() { return RootComputesCell()->value(); }
 
 void BlockHeader::EncodeTo(Encoder* enc) const {
   enc->PutU64(height);

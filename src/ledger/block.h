@@ -51,16 +51,13 @@ struct Block {
   static crypto::Digest ComputeMerkleRoot(
       const std::vector<Transaction>& txs);
   /// Merkle root over leaf digests already computed from those encodings
-  /// (MerkleTree::LeafHash of each); counts as one root computation.
+  /// (MerkleTree::LeafHash of each). Both root functions count each call
+  /// in the default registry's merkle_root_computes_total — the hash-work
+  /// counter behind the "one root per locally built block" invariant (a
+  /// block built by this process must not be re-rooted when the same
+  /// process validates it).
   static crypto::Digest MerkleRootFromLeaves(
       const std::vector<crypto::Digest>& leaves);
-
-  /// Process-wide count of ComputeMerkleRoot and MerkleRootFromLeaves
-  /// calls — the hash-work counter behind the "one root per locally built
-  /// block" invariant (a block built by this process must not be re-rooted
-  /// when the same process validates it; bench_recovery reports roots/block
-  /// on the ingest path).
-  static uint64_t merkle_root_computes();
 
   /// Merkle leaf payloads for `txs` — the single definition of the leaf
   /// domain, shared by root computation and every proof tree so the two

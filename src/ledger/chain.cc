@@ -141,21 +141,17 @@ Result<crypto::Digest> Blockchain::Append(std::vector<Transaction> txs,
                                           Timestamp timestamp,
                                           const std::string& proposer,
                                           uint64_t nonce) {
-  obs::ScopedTimer timer(append_seconds_);
-  // Self-produce fast path: the root comes from leaves digested here, out
-  // of the very encodings that also yield the ids, so acceptance skips the
-  // redundant re-computation.
-  StoredBlock stored;
-  DigestTransactions(txs, &stored);
-  stored.block.header = HeaderOnHead(Block::MerkleRootFromLeaves(stored.leaves),
-                                     timestamp, proposer, nonce);
-  stored.block.transactions = std::move(txs);
-  stored.hash = stored.block.header.Hash();
-  PROVLEDGER_RETURN_NOT_OK(
-      ValidateAndPersist(stored.block, /*derive=*/false, &stored));
-  const crypto::Digest hash = stored.hash;
-  InstallBlock(std::move(stored));
-  return hash;
+  // Each transaction's leaf and id from one encoding, then the one local
+  // block-assembly path.
+  StoredBlock digests;
+  DigestTransactions(txs, &digests);
+  std::vector<PreparedTx> prepared;
+  prepared.reserve(txs.size());
+  for (size_t i = 0; i < txs.size(); ++i) {
+    prepared.push_back(
+        PreparedTx{std::move(txs[i]), digests.ids[i], digests.leaves[i]});
+  }
+  return AppendPrepared(&prepared, timestamp, proposer, nonce);
 }
 
 Result<crypto::Digest> Blockchain::AppendPrepared(
@@ -173,11 +169,10 @@ Result<crypto::Digest> Blockchain::AppendPrepared(
     stored.ids.push_back(ptx.id);
   }
   Block& block = stored.block;
-  block.header = HeaderOnHead(
-      precomputed_root != nullptr
-          ? *precomputed_root
-          : crypto::MerkleTree::BuildFromDigests(stored.leaves).root(),
-      timestamp, proposer, nonce);
+  block.header = HeaderOnHead(precomputed_root != nullptr
+                                  ? *precomputed_root
+                                  : Block::MerkleRootFromLeaves(stored.leaves),
+                              timestamp, proposer, nonce);
   block.transactions.reserve(txs->size());
   for (auto& ptx : *txs) block.transactions.push_back(std::move(ptx.tx));
   stored.hash = block.header.Hash();
@@ -371,7 +366,6 @@ const crypto::MerkleTree& Blockchain::TreeFor(const StoredBlock& stored) const {
       merkle_cache_order_.pop_front();
     }
   }
-  ++merkle_builds_;
   merkle_builds_total_->Increment();
   merkle_cache_order_.push_back(stored.hash);
   return merkle_cache_

@@ -173,29 +173,30 @@ class Blockchain {
   const Block& genesis() const;
 
   /// \brief Build, validate, and append a block of `txs` on the current
-  /// head. Returns the new block's hash.
+  /// head: derives each transaction's leaf and id from one encoding, then
+  /// runs AppendPrepared. Returns the new block's hash.
   Result<crypto::Digest> Append(std::vector<Transaction> txs,
                                 Timestamp timestamp,
                                 const std::string& proposer,
                                 uint64_t nonce = 0);
 
   /// \brief Append a block of transactions whose encodings were already
-  /// hashed by the caller (see PreparedTx). The local-produce fast path
-  /// behind the ingest pipeline's committer: the Merkle root is assembled
-  /// from the cached leaf digests (no re-encode, no re-hash) and the
-  /// transaction index reuses the cached ids (both are stored with the
-  /// block, see StoredBlock), so each transaction's bytes are hashed
+  /// hashed by the caller (see PreparedTx). The one local block-assembly
+  /// path (Append and the store's commit both end here): the Merkle root
+  /// is assembled from the cached leaf digests (no re-encode, no re-hash)
+  /// and the transaction index reuses the cached ids (both are stored with
+  /// the block, see StoredBlock), so each transaction's bytes are hashed
   /// exactly once over its whole anchoring lifetime.
   /// `precomputed_root` (optional) skips even the digest-level tree
   /// build: pass the root of exactly these leaves in this order (the
   /// pipeline's shard workers compute it off-thread); a wrong root
   /// corrupts the chain the same way a wrong leaf digest would.
-  /// Validation parity with Append otherwise (height/link/timestamp/
+  /// Validation parity with SubmitBlock otherwise (height/link/timestamp/
   /// signature checks, block sink ordering). Returns the new block hash.
   /// `*txs` is consumed on success and left INTACT on failure — a
   /// rejected block (validation, block-sink/durability error) hands the
-  /// prepared transactions back so the caller can retry, mirroring the
-  /// buffered path's no-record-loss contract.
+  /// prepared transactions back so the caller can retry without losing
+  /// one.
   Result<crypto::Digest> AppendPrepared(
       std::vector<PreparedTx>* txs, Timestamp timestamp,
       const std::string& proposer, uint64_t nonce = 0,
@@ -279,13 +280,6 @@ class Blockchain {
   /// Total encoded bytes of main-chain blocks (storage-overhead metric).
   size_t ApproximateBytes() const;
 
-  /// Number of Merkle trees built to serve proofs since construction.
-  /// Proof requests against a block whose tree is already cached do not
-  /// increment this (perf counter; exercised by the prov store tests).
-  /// Per-instance delta; the registry's chain_merkle_tree_builds_total
-  /// counter aggregates the same events process-wide.
-  size_t merkle_tree_builds() const { return merkle_builds_; }
-
   /// Test hook: mutate a stored transaction payload in place, bypassing
   /// validation (for tamper-detection experiments). Writes through the
   /// shared immutability of installed blocks (const_cast), so it must only
@@ -302,9 +296,9 @@ class Blockchain {
   /// transaction id twice in `digests->ids`. With `derive`, the block came
   /// from outside (SubmitBlock): each transaction's leaf and id are first
   /// derived from one encoding into `*digests` and the header's Merkle
-  /// root is checked against those leaves. Append and AppendPrepared pass
-  /// the digests they already hold: their root was assembled from those
-  /// very digests, one call earlier.
+  /// root is checked against those leaves. AppendPrepared passes the
+  /// digests it already holds: its root was assembled from those very
+  /// digests, one call earlier.
   Status ValidateBlock(const Block& block, const Block& parent, bool derive,
                        StoredBlock* digests) const;
   /// Every fallible acceptance step — duplicate check, parent lookup,
@@ -360,7 +354,6 @@ class Blockchain {
   mutable std::unordered_map<crypto::Digest, crypto::MerkleTree, DigestHash>
       merkle_cache_;
   mutable std::deque<crypto::Digest> merkle_cache_order_;
-  mutable size_t merkle_builds_ = 0;
   std::function<Status(const Block&)> block_sink_;
   // Cached registry cells (resolved once in the constructor); hot-path
   // updates are single relaxed atomic ops.

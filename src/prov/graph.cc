@@ -109,7 +109,11 @@ Status ProvenanceGraph::AddRecord(ProvenanceRecord&& record) {
 }
 
 bool ProvenanceGraph::HasRecord(const std::string& record_id) const {
-  return record_ids_.Find(record_id) != InternTable::kNone;
+  return RecordRow(record_id) != InternTable::kNone;
+}
+
+uint32_t ProvenanceGraph::RecordRow(const std::string& record_id) const {
+  return record_ids_.Find(record_id);
 }
 
 Result<ProvenanceRecord> ProvenanceGraph::GetRecord(

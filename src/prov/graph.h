@@ -73,6 +73,9 @@ class ProvenanceGraph {
   Status AddRecord(ProvenanceRecord&& record);
 
   bool HasRecord(const std::string& record_id) const;
+  /// Dense row of `record_id` — its position in ingest order — or
+  /// InternTable::kNone when the graph does not hold it.
+  uint32_t RecordRow(const std::string& record_id) const;
   Result<ProvenanceRecord> GetRecord(const std::string& record_id) const;
   size_t record_count() const { return base_rows_ + records_.size(); }
   size_t entity_count() const { return entities_.size(); }

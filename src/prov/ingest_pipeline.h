@@ -1,9 +1,9 @@
 // Sharded, pipelined provenance ingest — the concurrency leg of the
-// capture path. The single-threaded write path (Anchor/AnchorBatch) makes
-// every producer wait out validation, serialization, two SHA-256 passes,
-// Merkle-tree construction, and graph indexing per record; under capture
-// rates like SciChain's scientific workflows or Sigwart-style IoT sensor
-// fleets, that one thread is the whole system's ceiling.
+// capture path. Run inline (Anchor/AnchorBatch), the store's write path
+// makes every producer wait out validation, serialization, two SHA-256
+// passes, Merkle-tree construction, and graph indexing per record; under
+// capture rates like SciChain's scientific workflows or Sigwart-style IoT
+// sensor fleets, that one thread is the whole system's ceiling.
 //
 // The pipeline splits the work by cost class:
 //
@@ -82,7 +82,7 @@ struct IngestPipelineOptions {
 /// concurrently (that is the point). Flush(), Close(), and the stats
 /// accessors are also safe from any thread. The pipeline assumes it is
 /// the *only* writer to the store for its lifetime: do not call the
-/// store's own mutating methods (Anchor/Flush/Invalidate/...) while a
+/// store's own mutating methods (Anchor/AnchorBatch/Invalidate/...) while a
 /// pipeline is attached, and do not run live store queries concurrently —
 /// read through snapshots (ProvenanceStore::AcquireSnapshot) instead.
 /// The store's clock must be thread-safe (SystemClock is; a test clock

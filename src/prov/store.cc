@@ -1,7 +1,5 @@
 #include "prov/store.h"
 
-#include <algorithm>
-
 #include "common/fileio.h"
 #include "common/hash64.h"
 
@@ -12,11 +10,14 @@ namespace {
 // Snapshot file: magic, then a checksum-framed body (torn or bit-rotted
 // snapshots are detected before any state is replaced; Hash64 keeps the
 // verification cheap on multi-megabyte bodies).
-constexpr char kSnapshotMagic[8] = {'P', 'L', 'S', 'N', 'A', 'P', '0', '3'};
-// The whole-graph serialization that row groups replaced. Such a file is a
-// cache miss (rebuild from the chain), not corruption.
-constexpr char kRetiredSnapshotMagic[8] = {'P', 'L', 'S', 'N',
-                                           'A', 'P', '0', '2'};
+constexpr char kSnapshotMagic[] = "PLSNAP04";
+constexpr size_t kSnapshotMagicBytes = sizeof(kSnapshotMagic) - 1;
+// Retired formats: the whole-graph serialization (02) and the row groups
+// followed by a rec/ key-value index (03). Such a file is a cache miss
+// (rebuild from the chain), not corruption.
+bool IsRetiredSnapshotMagic(const std::string& magic) {
+  return magic == "PLSNAP02" || magic == "PLSNAP03";
+}
 }  // namespace
 
 ProvenanceStore::ProvenanceStore(ledger::Blockchain* chain, Clock* clock,
@@ -47,130 +48,51 @@ std::string ProvenanceStore::OnChainAgentId(const std::string& agent) const {
   return "anon-" + HexEncode(mac.data(), 8);
 }
 
-ledger::Transaction ProvenanceStore::MakeTx(Bytes payload,
-                                            const crypto::PrivateKey* signer,
-                                            uint64_t nonce) const {
-  if (signer != nullptr) {
-    return ledger::Transaction::MakeSigned("prov/record", options_.channel,
-                                           std::move(payload), *signer,
-                                           clock_->NowMicros(), nonce);
-  }
-  return ledger::Transaction::MakeSystem("prov/record", options_.channel,
-                                         std::move(payload),
-                                         clock_->NowMicros(), nonce);
-}
-
-Status ProvenanceStore::CheckNotAnchored(const std::string& record_id) const {
-  if (graph_.HasRecord(record_id) || pending_ids_.count(record_id)) {
+Status ProvenanceStore::CheckNewId(
+    const std::string& record_id,
+    std::unordered_set<std::string>* batch_ids) const {
+  if (graph_.HasRecord(record_id)) {
     return Status::AlreadyExists("record already anchored: " + record_id);
   }
-  return Status::OK();
-}
-
-Status ProvenanceStore::Buffer(ProvenanceRecord&& record,
-                               const crypto::PrivateKey* signer) {
-  PROVLEDGER_RETURN_NOT_OK(record.Validate());
-  PROVLEDGER_RETURN_NOT_OK(CheckNotAnchored(record.record_id));
-  ++nonce_;
-  // Encode once; the encoding travels into the transaction payload and the
-  // record itself moves into the pending buffer — no further full copies.
-  pending_.push_back(MakeTx(record.Encode(), signer, nonce_));
-  pending_ids_.insert(record.record_id);
-  pending_records_.push_back(std::move(record));
+  if (!batch_ids->insert(record_id).second) {
+    return Status::AlreadyExists("duplicate record in batch: " + record_id);
+  }
   return Status::OK();
 }
 
 Status ProvenanceStore::Anchor(const ProvenanceRecord& record,
                                const crypto::PrivateKey* signer) {
-  ProvenanceRecord anchored = record;
-  anchored.agent = OnChainAgentId(record.agent);
-  PROVLEDGER_RETURN_NOT_OK(Buffer(std::move(anchored), signer));
-  if (pending_.size() >= options_.batch_size) {
-    return Flush();
-  }
-  return Status::OK();
+  return AnchorBatch({record}, signer);
 }
 
 Status ProvenanceStore::AnchorBatch(
     const std::vector<ProvenanceRecord>& records,
     const crypto::PrivateKey* signer) {
-  // All-or-nothing: a failed AnchorBatch must not leave this batch's
-  // records buffered, or they would block retries and then ride along on
-  // an unrelated later Flush despite the reported error.
-  const size_t mark = pending_.size();
-  const uint64_t nonce_mark = nonce_;
-  auto unbuffer_batch = [&]() {
-    for (size_t i = mark; i < pending_records_.size(); ++i) {
-      pending_ids_.erase(pending_records_[i].record_id);
-    }
-    pending_.resize(mark);
-    pending_records_.resize(mark);
-    nonce_ = nonce_mark;
-  };
+  // All or nothing: every record is checked before AnchorPrepared sees the
+  // batch, because AnchorPrepared drops a duplicate and commits the rest.
+  // Nonces are only taken (by AnchorPrepared) once the block lands.
+  PreparedBatch batch;
+  batch.records.reserve(records.size());
+  std::unordered_set<std::string> batch_ids;
+  Encoder scratch;
   for (const auto& record : records) {
-    ProvenanceRecord anchored = record;
-    anchored.agent = OnChainAgentId(record.agent);
-    Status s = Buffer(std::move(anchored), signer);
-    if (!s.ok()) {
-      unbuffer_batch();
-      return s;
-    }
+    PROVLEDGER_ASSIGN_OR_RETURN(
+        PreparedRecord prepared,
+        PrepareRecord(ProvenanceRecord(record),
+                      nonce_ + batch.records.size() + 1, signer, &scratch));
+    PROVLEDGER_RETURN_NOT_OK(
+        CheckNewId(prepared.record.record_id, &batch_ids));
+    batch.records.push_back(std::move(prepared));
   }
-  Status flushed = Flush();
-  // A still-buffered batch after a failed flush means the chain refused the
-  // block: hand the records back to the caller instead of letting them
-  // linger (a drained buffer means the block landed and only indexing
-  // failed — those records are on-chain and must stay).
-  if (!flushed.ok() && pending_.size() > mark) unbuffer_batch();
-  return flushed;
-}
-
-Status ProvenanceStore::Flush() {
-  if (pending_.empty()) return Status::OK();
-  // Append before touching the buffers: on failure (block too large,
-  // signature policy, ...) everything stays pending so the caller can fix
-  // the chain options and retry without losing records.
-  auto block_hash =
-      chain_->Append(pending_, clock_->NowMicros(), options_.proposer);
-  if (!block_hash.ok()) return block_hash.status();
-  // Append installed the block on the head; its stored ids spare
-  // re-encoding and re-hashing every transaction.
-  const std::vector<crypto::Digest>& txids =
-      *chain_->PeekTxIds(chain_->height());
-
-  std::vector<ProvenanceRecord> records = std::move(pending_records_);
-  pending_.clear();
-  pending_records_.clear();
-  pending_ids_.clear();
-  // The block is on the chain now, so every record of the batch must be
-  // indexed — bailing at the first failure would leave on-chain records
-  // invisible to queries and audits. Index them all, aggregate the errors.
-  Status first_error;
-  size_t failures = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    Status s = IndexRecord(std::move(records[i]), txids[i]);
-    if (!s.ok()) {
-      ++failures;
-      if (first_error.ok()) first_error = std::move(s);
-    }
-  }
-  if (failures > 0) {
-    return Status::Internal(
-        "flush indexed " + std::to_string(records.size() - failures) + "/" +
-        std::to_string(records.size()) + " anchored records; first error: " +
-        first_error.ToString());
-  }
-  return Status::OK();
+  return AnchorPrepared(&batch);
 }
 
 Status ProvenanceStore::IndexRecord(ProvenanceRecord&& record,
                                     const crypto::Digest& txid) {
-  PROVLEDGER_RETURN_NOT_OK(EnsureIndexLoaded());
-  // The id is needed after the record moves into the graph.
-  std::string key = "rec/" + record.record_id;
   PROVLEDGER_RETURN_NOT_OK(graph_.AddRecord(std::move(record)));
-  PROVLEDGER_RETURN_NOT_OK(index_.Put(std::move(key),
-                                      crypto::DigestToBytes(txid)));
+  // Rows added through mutable_graph() since the last anchor stay zero.
+  txids_.resize(graph_.record_count(), crypto::ZeroDigest());
+  txids_.back() = txid;
   ++anchored_count_;
   return Status::OK();
 }
@@ -181,7 +103,15 @@ Result<PreparedRecord> ProvenanceStore::PrepareRecord(
   record.agent = OnChainAgentId(record.agent);
   PROVLEDGER_RETURN_NOT_OK(record.Validate());
   PreparedRecord prepared;
-  prepared.tx = MakeTx(record.Encode(), signer, nonce);
+  Bytes payload = record.Encode();
+  prepared.tx =
+      signer != nullptr
+          ? ledger::Transaction::MakeSigned("prov/record", options_.channel,
+                                            std::move(payload), *signer,
+                                            clock_->NowMicros(), nonce)
+          : ledger::Transaction::MakeSystem("prov/record", options_.channel,
+                                            std::move(payload),
+                                            clock_->NowMicros(), nonce);
   // One encoding serves both digests the commit path will need — after
   // this, no byte of the transaction is ever hashed again. The encoding is
   // a throwaway, so a caller-provided scratch encoder (ingest shard
@@ -205,8 +135,6 @@ Status ProvenanceStore::AnchorPrepared(PreparedBatch* batch,
     batch->merkle_root.reset();
     return Status::OK();
   }
-  PROVLEDGER_RETURN_NOT_OK(EnsureIndexLoaded());
-
   // The precomputed root matches only the batch exactly as prepared, so
   // it is consumed here — never left behind on a batch whose records were
   // taken (a reused PreparedBatch would otherwise anchor a later block
@@ -215,20 +143,16 @@ Status ProvenanceStore::AnchorPrepared(PreparedBatch* batch,
   std::optional<crypto::Digest> precomputed = std::move(batch->merkle_root);
   batch->merkle_root.reset();
 
-  // Duplicates (already anchored, pending, or repeated within the batch)
-  // must drop *before* the block forms: an on-chain duplicate would be
-  // refused by the graph and become invisible to queries forever.
+  // Duplicates (already anchored or repeated within the batch) must drop
+  // *before* the block forms: an on-chain duplicate would be refused by
+  // the graph and become invisible to queries forever.
   std::vector<PreparedRecord> unique;
   unique.reserve(batch->records.size());
   std::unordered_set<std::string> batch_ids;
   Status first_drop;
   size_t dropped = 0;
   for (auto& prepared : batch->records) {
-    Status s = CheckNotAnchored(prepared.record.record_id);
-    if (s.ok() && !batch_ids.insert(prepared.record.record_id).second) {
-      s = Status::AlreadyExists("duplicate record in prepared batch: " +
-                                prepared.record.record_id);
-    }
+    Status s = CheckNewId(prepared.record.record_id, &batch_ids);
     if (!s.ok()) {
       ++dropped;
       if (first_drop.ok()) first_drop = std::move(s);
@@ -256,11 +180,10 @@ Status ProvenanceStore::AnchorPrepared(PreparedBatch* batch,
                                             /*nonce=*/0, root);
     // Chain refusal leaves no store state mutated, and the chain handed
     // the transactions back — reassemble the batch (minus dropped
-    // duplicates) so the caller can retry it wholesale. Same
-    // no-record-loss contract as AnchorBatch's un-buffering. The root
-    // goes back only when nothing was dropped: a batch missing its
-    // dropped records no longer matches it, and a retry anchoring under
-    // the stale root would corrupt the chain.
+    // duplicates) so the caller can retry it wholesale. The root goes
+    // back only when nothing was dropped: a batch missing its dropped
+    // records no longer matches it, and a retry anchoring under the stale
+    // root would corrupt the chain.
     if (!block_hash.ok()) {
       for (size_t i = 0; i < unique.size(); ++i) {
         unique[i].tx = std::move(txs[i].tx);
@@ -269,13 +192,13 @@ Status ProvenanceStore::AnchorPrepared(PreparedBatch* batch,
       batch->records = std::move(unique);
       return block_hash.status();
     }
-    // Track issued nonces so later Anchor()/Flush() calls never reuse one.
+    // Track issued nonces so later AnchorBatch() calls never reuse one.
     nonce_ = max_nonce;
 
-    // The block is on the chain: index everything, aggregate failures
-    // (same contract as Flush). `committed` counts only fully-landed
-    // records (on-chain AND indexed) — an indexing casualty is a failure
-    // to the caller even though its bytes are on the chain.
+    // The block is on the chain: index everything, aggregate failures.
+    // `committed` counts only fully-landed records (on-chain AND indexed)
+    // — an indexing casualty is a failure to the caller even though its
+    // bytes are on the chain.
     Status first_error;
     size_t failures = 0;
     for (auto& prepared : unique) {
@@ -325,29 +248,6 @@ Status ProvenanceStore::PublishSnapshotAt(uint64_t reflected_height) {
 std::shared_ptr<const GraphSnapshot> ProvenanceStore::AcquireSnapshot()
     const {
   return std::atomic_load(&snapshot_);
-}
-
-Status ProvenanceStore::EnsureIndexLoaded() const {
-  if (lazy_index_.empty()) return Status::OK();
-  LazySlice slice = std::move(lazy_index_);
-  lazy_index_.clear();
-  Decoder dec(slice.data(), slice.length);
-  uint32_t count = 0;
-  PROVLEDGER_RETURN_NOT_OK(dec.GetU32(&count));
-  std::vector<std::pair<std::string, Bytes>> entries;
-  entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string key;
-    Bytes value;
-    PROVLEDGER_RETURN_NOT_OK(dec.GetString(&key));
-    PROVLEDGER_RETURN_NOT_OK(dec.GetBytes(&value));
-    entries.emplace_back(std::move(key), std::move(value));
-  }
-  if (!dec.AtEnd()) {
-    return Status::Corruption("trailing bytes in snapshot index section");
-  }
-  // Saved via an ordered iterator, loaded in O(n).
-  return index_.LoadSorted(std::move(entries));
 }
 
 Result<ProvenanceRecord> ProvenanceStore::GetRecord(
@@ -404,10 +304,11 @@ std::vector<std::string> ProvenanceStore::Lineage(
 
 Result<crypto::Digest> ProvenanceStore::RecordTxId(
     const std::string& record_id) const {
-  PROVLEDGER_RETURN_NOT_OK(EnsureIndexLoaded());
-  PROVLEDGER_ASSIGN_OR_RETURN(Bytes txid_bytes,
-                              index_.Get("rec/" + record_id));
-  return crypto::DigestFromBytes(txid_bytes);
+  const uint32_t row = graph_.RecordRow(record_id);
+  if (row < txids_.size() && txids_[row] != crypto::ZeroDigest()) {
+    return txids_[row];
+  }
+  return Status::NotFound("record not anchored: " + record_id);
 }
 
 Result<ledger::TxProof> ProvenanceStore::ProveRecord(
@@ -418,10 +319,7 @@ Result<ledger::TxProof> ProvenanceStore::ProveRecord(
 
 bool ProvenanceStore::VerifyRecordProof(const ProvenanceRecord& record,
                                         const ledger::TxProof& proof) const {
-  if (!EnsureIndexLoaded().ok()) return false;
-  auto txid_bytes = index_.Get("rec/" + record.record_id);
-  if (!txid_bytes.ok()) return false;
-  auto txid = crypto::DigestFromBytes(txid_bytes.value());
+  auto txid = RecordTxId(record.record_id);
   if (!txid.ok()) return false;
   auto tx = chain_->GetTransaction(txid.value());
   if (!tx.ok()) return false;
@@ -432,16 +330,12 @@ bool ProvenanceStore::VerifyRecordProof(const ProvenanceRecord& record,
 
 void ProvenanceStore::ResetState() {
   graph_ = ProvenanceGraph();
-  index_ = storage::MemKvStore();
-  lazy_index_.clear();
+  txids_.clear();
   anchored_count_ = 0;
-  pending_.clear();
-  pending_records_.clear();
-  pending_ids_.clear();
   nonce_ = 0;
 }
 
-Status ProvenanceStore::ReplayBlock(uint64_t h) {
+Status ProvenanceStore::ApplyChainBlock(uint64_t h) {
   const ledger::Block* block = chain_->PeekBlock(h);
   if (block == nullptr) {
     return Status::NotFound("no block at height " + std::to_string(h));
@@ -463,15 +357,11 @@ Status ProvenanceStore::ReplayBlock(uint64_t h) {
   return Status::OK();
 }
 
-Status ProvenanceStore::ApplyChainBlock(uint64_t height) {
-  return ReplayBlock(height);
-}
-
 Status ProvenanceStore::RebuildFromChain() {
   ResetState();
   Status replayed = [&]() -> Status {
     for (uint64_t h = 0; h <= chain_->height(); ++h) {
-      PROVLEDGER_RETURN_NOT_OK(ReplayBlock(h));
+      PROVLEDGER_RETURN_NOT_OK(ApplyChainBlock(h));
     }
     return Status::OK();
   }();
@@ -514,28 +404,18 @@ Status ProvenanceStore::SaveSnapshot(const std::string& path) const {
   body.PutU64(nonce_);
   body.PutU64(anchored_count_);
   graph_.Image().EncodeTo(&body);
-
-  // rec/ index as one length-prefixed section. If this store itself was
-  // snapshot-restored and never needed the index, its raw section passes
-  // straight through (every mutation path hydrates first, so raw implies
-  // unchanged).
-  if (!lazy_index_.empty()) {
-    body.PutU32(static_cast<uint32_t>(lazy_index_.length));
-    body.PutRaw(lazy_index_.data(), lazy_index_.length);
-  } else {
-    Encoder section;
-    section.PutU32(static_cast<uint32_t>(index_.ApproximateCount()));
-    auto it = index_.NewIterator();
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      section.PutString(it->key());
-      section.PutBytes(it->value());
-    }
-    body.PutU32(static_cast<uint32_t>(section.size()));
-    body.PutRaw(section.buffer());
+  // The txid column: a row count, then one raw digest per graph row (rows
+  // added through mutable_graph() after the last anchor are zero too).
+  const size_t rows = graph_.record_count();
+  body.PutU32(static_cast<uint32_t>(rows));
+  for (size_t row = 0; row < rows; ++row) {
+    const crypto::Digest txid =
+        row < txids_.size() ? txids_[row] : crypto::ZeroDigest();
+    body.PutRaw(txid.data(), txid.size());
   }
 
   Encoder file;
-  file.PutRaw(Bytes(kSnapshotMagic, kSnapshotMagic + sizeof(kSnapshotMagic)));
+  file.PutRaw(ToBytes(kSnapshotMagic));
   file.PutU32(static_cast<uint32_t>(body.size()));
   file.PutU64(Hash64(body.buffer()));
   file.PutRaw(body.buffer());
@@ -543,18 +423,16 @@ Status ProvenanceStore::SaveSnapshot(const std::string& path) const {
 }
 
 Status ProvenanceStore::LoadSnapshot(const std::string& path) {
-  PROVLEDGER_ASSIGN_OR_RETURN(Bytes data_owned, ReadFileToBytes(path));
-  // The buffer is shared: the rec/ index keeps a zero-copy slice into it,
-  // deferring its decoding to first use.
-  auto data = std::make_shared<const Bytes>(std::move(data_owned));
-  Decoder file(*data);
-  Bytes magic;
-  PROVLEDGER_RETURN_NOT_OK(file.GetRaw(sizeof(kSnapshotMagic), &magic));
-  if (std::equal(magic.begin(), magic.end(), kRetiredSnapshotMagic)) {
+  PROVLEDGER_ASSIGN_OR_RETURN(Bytes data, ReadFileToBytes(path));
+  Decoder file(data);
+  Bytes magic_bytes;
+  PROVLEDGER_RETURN_NOT_OK(file.GetRaw(kSnapshotMagicBytes, &magic_bytes));
+  const std::string magic = BytesToString(magic_bytes);
+  if (IsRetiredSnapshotMagic(magic)) {
     return Status::FailedPrecondition(
         "snapshot uses a retired format; rebuild from the chain: " + path);
   }
-  if (!std::equal(magic.begin(), magic.end(), kSnapshotMagic)) {
+  if (magic != kSnapshotMagic) {
     return Status::Corruption("not a provenance snapshot: " + path);
   }
   uint32_t body_len = 0;
@@ -566,7 +444,7 @@ Status ProvenanceStore::LoadSnapshot(const std::string& path) {
   if (file.remaining() != body_len) {
     return Status::Corruption("snapshot body length mismatch: " + path);
   }
-  if (Hash64(data->data() + (data->size() - body_len), body_len) !=
+  if (Hash64(data.data() + (data.size() - body_len), body_len) !=
       checksum) {
     return Status::Corruption("snapshot checksum mismatch: " + path);
   }
@@ -603,27 +481,26 @@ Status ProvenanceStore::LoadSnapshot(const std::string& path) {
   // before any state is replaced.
   GraphImage image;
   PROVLEDGER_RETURN_NOT_OK(GraphImage::DecodeFrom(&dec, &image));
+  // So is the txid column: one digest per image row, and nothing after.
+  uint32_t rows = 0;
+  if (!dec.GetU32(&rows).ok() || rows != image.record_count() ||
+      dec.remaining() != size_t{rows} * crypto::kSha256DigestSize) {
+    return Status::Corruption("bad txid column in snapshot: " + path);
+  }
+  std::vector<crypto::Digest> txids(rows);
+  for (crypto::Digest& txid : txids) {
+    PROVLEDGER_RETURN_NOT_OK(dec.GetRaw(txid.size(), txid.data()));
+  }
 
   ResetState();
+  graph_.Open(image);
+  txids_ = std::move(txids);
+  nonce_ = nonce;
+  anchored_count_ = anchored;
+  // Tail replay: everything anchored after the snapshot was taken.
   Status loaded = [&]() -> Status {
-    graph_.Open(image);
-    PROVLEDGER_RETURN_NOT_OK(GetSlice(&dec, data, &lazy_index_));
-    // Sanity before deferring: the section's entry count must match the
-    // graph (full parsing waits for the first proof/audit/anchor).
-    Decoder peek(lazy_index_.data(), lazy_index_.length);
-    uint32_t index_count = 0;
-    PROVLEDGER_RETURN_NOT_OK(peek.GetU32(&index_count));
-    if (index_count != graph_.record_count()) {
-      return Status::Corruption("snapshot index/graph record count mismatch");
-    }
-    if (!dec.AtEnd()) {
-      return Status::Corruption("trailing bytes in snapshot body");
-    }
-    nonce_ = nonce;
-    anchored_count_ = anchored;
-    // Tail replay: everything anchored after the snapshot was taken.
     for (uint64_t h = snapshot_height + 1; h <= chain_->height(); ++h) {
-      PROVLEDGER_RETURN_NOT_OK(ReplayBlock(h));
+      PROVLEDGER_RETURN_NOT_OK(ApplyChainBlock(h));
     }
     return Status::OK();
   }();
@@ -648,23 +525,22 @@ Status ProvenanceStore::Recover(const std::string& snapshot_path) {
 }
 
 Result<size_t> ProvenanceStore::AuditAll() const {
-  PROVLEDGER_RETURN_NOT_OK(EnsureIndexLoaded());
+  // Rows in anchoring order keep each block's records adjacent, so a block
+  // whose proof tree fell out of the chain's cache is rebuilt once, not
+  // once per record.
   size_t verified = 0;
-  auto it = index_.NewIterator();
-  for (it->Seek("rec/"); it->Valid(); it->Next()) {
-    if (it->key().compare(0, 4, "rec/") != 0) break;
-    auto txid = crypto::DigestFromBytes(it->value());
-    if (!txid.ok()) return txid.status();
-    auto tx = chain_->GetTransaction(txid.value());
+  for (const crypto::Digest& txid : txids_) {
+    if (txid == crypto::ZeroDigest()) continue;  // not anchored here
+    auto tx = chain_->GetTransaction(txid);
     if (!tx.ok()) {
-      return Status::Corruption("anchored record missing from chain: " +
-                                it->key());
+      return Status::Corruption("anchored record's transaction missing "
+                                "from chain: " + crypto::DigestHex(txid));
     }
-    auto proof = chain_->ProveTransaction(txid.value());
+    auto proof = chain_->ProveTransaction(txid);
     if (!proof.ok()) return proof.status();
     if (!chain_->VerifyTxProof(tx->Encode(), proof.value())) {
-      return Status::Corruption("merkle verification failed for " +
-                                it->key());
+      return Status::Corruption("merkle verification failed for transaction " +
+                                crypto::DigestHex(txid));
     }
     ++verified;
   }

@@ -3,11 +3,16 @@
 // that can thoroughly capture, extract, and query provenance" whose absence
 // §3.1 of the paper identifies.
 //
-//   * Anchor()        — serialize a record into a ledger transaction
-//   * GetRecord()     — point lookup via the record index
+//   * Anchor()/AnchorBatch() — anchor records, one block per call
+//   * PrepareRecord() + AnchorPrepared() — the same write path in two
+//                       phases, so the ingest pipeline can prepare off the
+//                       commit thread
+//   * GetRecord()     — point lookup through the graph's record ids
 //   * Execute()       — composable index-planned queries (prov/query.h)
 //   * SubjectHistory()/ByAgent()/Lineage() — fixed-shape wrappers
-//   * ProveRecord()   — Merkle inclusion proof (auditor / light client)
+//   * ProveRecord()   — Merkle inclusion proof (auditor / light client),
+//                       from a txid column indexed by the graph's dense
+//                       record id
 //   * RebuildFromChain() — recover all state purely from the ledger
 //   * hash_agent_ids  — ProvChain's privacy mode: agents appear on-chain
 //                       only as keyed hashes, preventing user correlation
@@ -23,9 +28,7 @@
 #include "ledger/chain.h"
 #include "obs/metrics.h"
 #include "prov/graph.h"
-#include "prov/lazy_slice.h"
 #include "prov/snapshot.h"
-#include "storage/kv_store.h"
 
 namespace provledger {
 namespace prov {
@@ -34,9 +37,6 @@ namespace prov {
 struct ProvenanceStoreOptions {
   /// Ledger channel records are anchored on.
   std::string channel = "prov";
-  /// Anchor after this many buffered records (1 = every record its own
-  /// block; larger values trade latency for block-formation overhead).
-  size_t batch_size = 1;
   /// ProvChain privacy mode: replace `agent` with HMAC(anon_key, agent) at
   /// anchor time so on-chain entries cannot be correlated to users.
   bool hash_agent_ids = false;
@@ -95,25 +95,27 @@ class ProvenanceStore {
   ProvenanceStore(ledger::Blockchain* chain, Clock* clock,
                   ProvenanceStoreOptions options = ProvenanceStoreOptions());
 
-  /// Validate, (optionally) anonymize, buffer, and anchor a record. With
-  /// batch_size == 1 this immediately appends a block. Pass a signer to
-  /// produce a signed transaction (user-direct capture path).
+  /// Anchor one record in its own block: AnchorBatch of one. Pass a
+  /// signer to produce a signed transaction (user-direct capture path).
   Status Anchor(const ProvenanceRecord& record,
                 const crypto::PrivateKey* signer = nullptr);
-  /// Anchor a batch in one block regardless of batch_size.
-  Status AnchorBatch(const std::vector<ProvenanceRecord>& records,
-                     const crypto::PrivateKey* signer = nullptr);
-  /// Flush any buffered records into a block. If the chain rejects the
-  /// block, everything stays buffered for retry. Once the block is
-  /// appended, *every* record of the batch is indexed even if some fail —
+  /// Validate, (optionally) anonymize and anchor `records` in one block,
+  /// all or nothing up to the block: an invalid record, an id already
+  /// anchored, or an id repeated within the batch fails the call before
+  /// any nonce is used, and a chain refusal anchors nothing. Once the
+  /// block is on the chain, *every* record is indexed even if some fail —
   /// an on-chain record must never be invisible to queries — and the
   /// per-record failures come back aggregated as one Internal status.
-  Status Flush();
+  /// Runs the pipeline's write path inline: PrepareRecord per record, then
+  /// AnchorPrepared.
+  Status AnchorBatch(const std::vector<ProvenanceRecord>& records,
+                     const crypto::PrivateKey* signer = nullptr);
 
   /// \name Prepared (pipelined) ingest.
-  /// The two-phase write path behind prov::IngestPipeline: preparation is
-  /// the per-record heavy lifting and runs concurrently on shard threads;
-  /// committing is cheap sequencing and runs on one committer thread.
+  /// The two phases of the one write path, split for prov::IngestPipeline
+  /// (AnchorBatch runs both inline): preparation is the per-record heavy
+  /// lifting and runs concurrently on shard threads; committing is cheap
+  /// sequencing and runs on one committer thread.
   /// @{
   /// Validate, (optionally) anonymize, serialize, and hash `record` into
   /// a PreparedRecord carrying its anchoring transaction. Thread-safe
@@ -136,17 +138,14 @@ class ProvenanceStore {
   /// batch's precomputed Merkle root when it is intact.
   /// Committer/writer thread only. Records already anchored or duplicated
   /// within the batch are dropped *before* the block forms and reported
-  /// via the returned status; the rest commit. Like Flush, once the block
-  /// is on the chain every surviving record is indexed even past
+  /// via the returned status; the rest commit. As in AnchorBatch, once the
+  /// block is on the chain every surviving record is indexed even past
   /// per-record indexing failures (aggregated Internal). `committed`
   /// (optional) receives the number of records that fully landed —
   /// on-chain AND indexed.
   /// `*batch` is consumed on commit; if the *chain refuses the block*
   /// (validation, durability-sink error) it is handed back intact (minus
-  /// dropped duplicates) so the caller can retry — the same
-  /// no-record-loss contract as AnchorBatch's un-buffering.
-  /// Does not touch the Anchor()/Flush() pending buffer — don't interleave
-  /// unflushed buffered records with prepared commits.
+  /// dropped duplicates) so the caller can retry without losing a record.
   Status AnchorPrepared(PreparedBatch* batch, size_t* committed = nullptr);
   /// Convenience overload without a precomputed root; the batch is
   /// consumed even on chain refusal (no retry hand-back).
@@ -245,7 +244,9 @@ class ProvenanceStore {
   /// Index the prov/record transactions of the main-chain block at
   /// `height` — the follower apply path of the replication layer, where a
   /// block enters via Blockchain::SubmitBlock (full re-validation) rather
-  /// than Anchor()/Flush(), so the store has not yet seen its records.
+  /// than AnchorBatch()/AnchorPrepared(), so the store has not yet seen
+  /// its records. RebuildFromChain and snapshot tail replay run the same
+  /// step per block.
   /// Call once per height, in order, for blocks the store has not indexed;
   /// a block whose records are already indexed fails as duplicates.
   Status ApplyChainBlock(uint64_t height);
@@ -259,13 +260,14 @@ class ProvenanceStore {
 
   /// \name Snapshot persistence (durable restart path).
   /// A snapshot serializes the store's derived state — the graph's row
-  /// groups (the same GraphImage an epoch publishes), the rec/ index,
-  /// anchored count and nonce — bound to the chain position it was taken
-  /// at (height + block hash). Restart = LoadSnapshot + replay
-  /// of the short chain tail past the snapshot height, instead of a full
-  /// O(chain) RebuildFromChain. Only anchored state is covered: pending
-  /// (unflushed) records are not on the chain and not in the snapshot, so
-  /// flush before snapshotting.
+  /// groups (the same GraphImage an epoch publishes), the txid column
+  /// (one raw 32-byte transaction id per graph row, ZeroDigest for a row
+  /// the store did not anchor), anchored count and nonce — bound to the
+  /// chain position it was taken at (height + block hash). Restart =
+  /// LoadSnapshot + replay of the short chain tail past the snapshot
+  /// height, instead of a full O(chain) RebuildFromChain. File format
+  /// PLSNAP04; PLSNAP02 (whole-graph) and PLSNAP03 (rec/ index) files are
+  /// retired formats.
   /// @{
   /// Atomically (temp file + rename) write a snapshot of the current
   /// anchored state.
@@ -274,14 +276,16 @@ class ProvenanceStore {
   /// height. FailedPrecondition when the snapshot was taken on a different
   /// chain (block hash mismatch), past this chain's height, or in a
   /// retired file format — callers should fall back to RebuildFromChain
-  /// (see Recover). Corruption for an unknown magic, a checksum mismatch
-  /// or a row group that fails validation (prov/row_group.h). If an epoch was
+  /// (see Recover). Corruption for an unknown magic, a checksum mismatch,
+  /// a row group that fails validation (prov/row_group.h) or a bad txid
+  /// column (wrong row count or length). If an epoch was
   /// ever published, a fresh one is published afterwards — from the
   /// restored state on success, or from the reset (empty) state when a
-  /// failure struck after the restore began mutating state — so readers
-  /// never keep acquiring pre-restore state. Failures detected before any
-  /// mutation (bad magic/checksum, wrong chain, bad height, invalid row
-  /// groups) leave both the store and the published epoch untouched.
+  /// failure struck after the restore began mutating state (tail replay)
+  /// — so readers never keep acquiring pre-restore state. Failures
+  /// detected before any mutation (bad magic/checksum, wrong chain, bad
+  /// height, invalid row groups, bad txid column) leave both the store
+  /// and the published epoch untouched.
   Status LoadSnapshot(const std::string& path);
   /// Restart entry point: LoadSnapshot if `snapshot_path` holds a usable
   /// snapshot for this chain, otherwise a full RebuildFromChain. Corrupt
@@ -300,7 +304,6 @@ class ProvenanceStore {
   ledger::Blockchain* chain() { return chain_; }
   const ledger::Blockchain* chain() const { return chain_; }
   size_t anchored_count() const { return anchored_count_; }
-  size_t pending_count() const { return pending_.size(); }
   /// Highest transaction nonce issued or observed so far. The pipeline
   /// seeds its own atomic nonce counter from this at construction.
   uint64_t nonce() const { return nonce_; }
@@ -308,18 +311,14 @@ class ProvenanceStore {
   const ProvenanceStoreOptions& options() const { return options_; }
 
  private:
+  /// Add `record` to the graph and its txid to the column.
   Status IndexRecord(ProvenanceRecord&& record, const crypto::Digest& txid);
-  /// Drop graph, index, counters, and pending buffers.
+  /// Drop graph, txid column and counters.
   void ResetState();
-  /// Index every prov/record transaction of the main-chain block at `h`
-  /// (the shared per-block step of RebuildFromChain and tail replay).
-  Status ReplayBlock(uint64_t h);
-  /// Hydrate the rec/ index from a snapshot's deferred section. Queries
-  /// never touch the index; only the proof/audit paths (and new anchors)
-  /// pay this, once.
-  Status EnsureIndexLoaded() const;
-  /// AlreadyExists if `record_id` is anchored or buffered for anchoring.
-  Status CheckNotAnchored(const std::string& record_id) const;
+  /// AlreadyExists if `record_id` is anchored or already in `batch_ids`;
+  /// otherwise claims it there.
+  Status CheckNewId(const std::string& record_id,
+                    std::unordered_set<std::string>* batch_ids) const;
   /// Publish the current graph as a new epoch stamped as reflecting the
   /// chain up to `reflected_height` (PublishSnapshot passes the chain
   /// head; restore paths pass the height actually replayed).
@@ -328,13 +327,6 @@ class ProvenanceStore {
   /// state — restore paths call this so readers never keep acquiring a
   /// snapshot of pre-restore state.
   Status RepublishIfPublished(uint64_t reflected_height);
-  /// Validate, dedup, encode once, and buffer `record` (already carrying
-  /// its on-chain agent id) plus its transaction.
-  Status Buffer(ProvenanceRecord&& record, const crypto::PrivateKey* signer);
-  /// Build the anchoring transaction for `payload` with an explicit nonce
-  /// (thread-safe const — reads only options and the clock).
-  ledger::Transaction MakeTx(Bytes payload, const crypto::PrivateKey* signer,
-                             uint64_t nonce) const;
 
   ledger::Blockchain* chain_;
   Clock* clock_;
@@ -347,15 +339,10 @@ class ProvenanceStore {
   obs::Histogram* publish_seconds_;
   obs::Histogram* publish_bytes_;
   ProvenanceGraph graph_;
-  // "rec/<id>" -> txid bytes. After LoadSnapshot the entries wait as a
-  // zero-copy snapshot slice until the first proof/audit/anchor needs them.
-  mutable storage::MemKvStore index_;
-  mutable LazySlice lazy_index_;
-  std::vector<ledger::Transaction> pending_;
-  std::vector<ProvenanceRecord> pending_records_;
-  // Record ids in pending_records_, so a duplicate cannot buffer twice and
-  // then corrupt graph/index state when Flush() replays the batch.
-  std::unordered_set<std::string> pending_ids_;
+  // Id of the transaction that anchored each graph row, indexed by the
+  // graph's dense record id. A row that entered the graph behind the
+  // store's back (mutable_graph()) holds ZeroDigest.
+  std::vector<crypto::Digest> txids_;
   size_t anchored_count_ = 0;
   uint64_t nonce_ = 0;
   // Latest published epoch; accessed with std::atomic_load/atomic_store so

@@ -182,10 +182,7 @@ void ReplicatedNode::ApplyPeerBlock(const ledger::Block& block,
     // A failed sync already reset the applied-height tracker, so the next
     // broadcast/pull retries from genesis; count it so a node serving
     // degraded query results is visible to operators.
-    if (!SyncStoreWithChain().ok()) {
-      ++metrics_.store_sync_failures;
-      sync_failures_total_->Increment();
-    }
+    if (!SyncStoreWithChain().ok()) sync_failures_total_->Increment();
     return;
   }
   if (st.IsAlreadyExists()) return;
@@ -353,10 +350,7 @@ void ReplicatedNode::HandleBlocks(const network::Message& message) {
   }
   // As above: failure resets the tracker for a from-genesis retry on the
   // next message; the counter keeps the degraded window observable.
-  if (!SyncStoreWithChain().ok()) {
-    ++metrics_.store_sync_failures;
-    sync_failures_total_->Increment();
-  }
+  if (!SyncStoreWithChain().ok()) sync_failures_total_->Increment();
   if (chain_.height() >= sender_height || net_ == nullptr) {
     catchup_lag_gauge_->Set(0);
     sync_in_flight_ = false;
@@ -403,7 +397,6 @@ void ReplicatedNode::HandleProofRequest(const network::Message& message) {
   Encoder enc;
   auto proof = audit::BuildLineageProof(*store_, record_id);
   if (proof.ok()) {
-    ++metrics_.proofs_served;
     proofs_served_total_->Increment();
     enc.PutU8(1);
     enc.PutString(std::string());

@@ -91,12 +91,6 @@ struct NodeMetrics {
   uint64_t blocks_served = 0;     // blocks shipped answering peer pulls
   uint64_t reorgs = 0;            // main-chain switches observed
   uint64_t store_rebuilds = 0;    // store rebuilds forced by reorgs
-  uint64_t proofs_served = 0;     // lineage proofs built answering repl/proof
-  /// Chain->store syncs that failed even after the rebuild fallback: the
-  /// node keeps serving (degraded, possibly empty) query results until the
-  /// next broadcast/pull retries the sync from genesis. Non-zero means
-  /// audit answers from this node are suspect — scrape it.
-  uint64_t store_sync_failures = 0;
 };
 
 /// \brief One node of a replicated provenance cluster.

@@ -93,26 +93,6 @@ std::unique_ptr<KvIterator> MemKvStore::NewIterator() const {
   return std::make_unique<MemKvIterator>(map_);
 }
 
-Status MemKvStore::LoadSorted(
-    std::vector<std::pair<std::string, Bytes>> entries) {
-  for (size_t i = 1; i < entries.size(); ++i) {
-    if (!(entries[i - 1].first < entries[i].first)) {
-      return Status::InvalidArgument(
-          "LoadSorted input not strictly key-sorted near: " +
-          entries[i].first);
-    }
-  }
-  auto map = std::make_shared<Map>();
-  size_t bytes = 0;
-  for (auto& [key, value] : entries) {
-    bytes += key.size() + value.size();
-    map->emplace_hint(map->end(), std::move(key), std::move(value));
-  }
-  map_ = std::move(map);  // live snapshots keep the old map alive
-  bytes_ = bytes;
-  return Status::OK();
-}
-
 std::vector<std::pair<std::string, Bytes>> ScanPrefix(
     const KvStore& store, const std::string& prefix) {
   std::vector<std::pair<std::string, Bytes>> out;

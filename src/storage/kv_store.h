@@ -99,12 +99,6 @@ class MemKvStore : public KvStore {
   size_t ApproximateCount() const override { return map_->size(); }
   size_t ApproximateBytes() const override { return bytes_; }
 
-  /// Replace the whole store from key-sorted, duplicate-free entries in
-  /// O(n) — std::map's range constructor is linear on sorted input, versus
-  /// O(n log n) comparisons for n individual Puts. This is the snapshot
-  /// restore path; InvalidArgument if the input is unsorted.
-  Status LoadSorted(std::vector<std::pair<std::string, Bytes>> entries);
-
  private:
   using Map = std::map<std::string, Bytes>;
 

@@ -249,9 +249,10 @@ TEST_F(LineageFixture, SmuggledValidButUnrelatedAncestorRejected) {
 }
 
 TEST(StoredLeafProofTest, RebuiltTreesNeverMaskTampering) {
-  // A one-block proof cache: consecutive records live in different blocks,
-  // so every proof misses and rebuilds its tree from the stored leaf
-  // digests rather than from the transaction bytes.
+  // A one-block proof cache: records in id order live in different
+  // blocks, so proving them in that order misses on every proof and
+  // rebuilds each tree from the stored leaf digests rather than from the
+  // transaction bytes.
   ledger::ChainOptions chain_options;
   chain_options.merkle_cache_blocks = 1;
   ledger::Blockchain chain(chain_options);
@@ -270,12 +271,19 @@ TEST(StoredLeafProofTest, RebuiltTreesNeverMaskTampering) {
     }
     ASSERT_TRUE(store.AnchorBatch(batch).ok());
   }
-  const size_t builds_before = chain.merkle_tree_builds();
+  obs::Counter* builds = obs::Registry::Default()->GetCounter(
+      "chain_merkle_tree_builds_total", "");
+  uint64_t builds_before = builds->value();
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(store.ProveRecord(id_of(i)).ok()) << id_of(i);
+  }
+  EXPECT_EQ(builds->value() - builds_before, static_cast<uint64_t>(kRecords));
+  // AuditAll walks rows in anchoring order: one build per block.
+  builds_before = builds->value();
   auto audited = store.AuditAll();
   ASSERT_TRUE(audited.ok()) << audited.status().ToString();
   EXPECT_EQ(audited.value(), static_cast<size_t>(kRecords));
-  EXPECT_EQ(chain.merkle_tree_builds() - builds_before,
-            static_cast<size_t>(kRecords));
+  EXPECT_EQ(builds->value() - builds_before, static_cast<uint64_t>(kBlocks));
   auto clean = audit::BuildLineageProof(store, "k05");
   ASSERT_TRUE(clean.ok());
   EXPECT_TRUE(audit::VerifyLineageProof(*clean, "k05", OracleFor(chain)).ok());

@@ -194,27 +194,51 @@ TEST(BlockchainTest, MaxBlockTxsEnforced) {
 }
 
 TEST(BlockchainTest, AppendComputesMerkleRootOncePerBlock) {
-  // Self-produce path: Block::Make derives the root from the transactions,
+  // Self-produce path: the root is derived once from the transactions,
   // and acceptance trusts it — re-deriving it bought nothing and doubled
   // the per-block hashing on every local Append.
+  obs::Counter* roots = obs::Registry::Default()->GetCounter(
+      "merkle_root_computes_total", "");
   Blockchain chain;
-  uint64_t before = Block::merkle_root_computes();
+  uint64_t before = roots->value();
   ASSERT_TRUE(chain.Append({SignedTx("a", "a", 1)}, 1000, "n").ok());
-  EXPECT_EQ(Block::merkle_root_computes(), before + 1);
+  EXPECT_EQ(roots->value(), before + 1);
 
   // Externally submitted blocks still get the full recompute: Make pays
   // one, validation pays the second.
   Block external = Block::Make(2, chain.head_hash(), {SignedTx("b", "a", 2)},
                                1001, "rival");
-  before = Block::merkle_root_computes();
+  before = roots->value();
   ASSERT_TRUE(chain.SubmitBlock(external).ok());
-  EXPECT_EQ(Block::merkle_root_computes(), before + 1);
+  EXPECT_EQ(roots->value(), before + 1);
 
   // ...and a tampered external block is still caught by that recompute.
   Block bad = Block::Make(3, chain.head_hash(), {SignedTx("c", "a", 3)},
                           1002, "rival");
   bad.transactions[0].payload = ToBytes("swapped");
   EXPECT_TRUE(chain.SubmitBlock(bad).IsCorruption());
+
+  // AppendPrepared roots the cached leaves once, or not at all when the
+  // caller brings the root.
+  auto prepare = [](Transaction tx) {
+    const Bytes encoding = tx.Encode();
+    PreparedTx prepared;
+    prepared.id = tx.Id();
+    prepared.leaf = crypto::MerkleTree::LeafHash(encoding);
+    prepared.tx = std::move(tx);
+    return prepared;
+  };
+  std::vector<PreparedTx> txs;
+  txs.push_back(prepare(SignedTx("d", "a", 4)));
+  before = roots->value();
+  ASSERT_TRUE(chain.AppendPrepared(&txs, 1003, "n").ok());
+  EXPECT_EQ(roots->value(), before + 1);
+  txs.push_back(prepare(SignedTx("e", "a", 5)));
+  const crypto::Digest root =
+      crypto::MerkleTree::BuildFromDigests({txs[0].leaf}).root();
+  before = roots->value();
+  ASSERT_TRUE(chain.AppendPrepared(&txs, 1004, "n", 0, &root).ok());
+  EXPECT_EQ(roots->value(), before);
 }
 
 TEST(BlockchainTest, TimestampMonotonicity) {

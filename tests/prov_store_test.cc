@@ -1,5 +1,7 @@
 // ProvenanceStore tests: anchoring, indexes, proofs, auditor sweep,
 // rebuild-from-chain, batching, and ProvChain's privacy (hashed agents).
+// Proof-tree work is read from the default registry's
+// chain_merkle_tree_builds_total counter.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,12 @@ ProvenanceRecord Rec(const std::string& id, const std::string& subject,
   rec.timestamp = ts;
   rec.inputs = std::move(inputs);
   return rec;
+}
+
+uint64_t TreeBuilds() {
+  return obs::Registry::Default()
+      ->GetCounter("chain_merkle_tree_builds_total", "")
+      ->value();
 }
 
 class StoreTest : public ::testing::Test {
@@ -57,18 +65,13 @@ TEST_F(StoreTest, InvalidRecordRejected) {
 }
 
 TEST_F(StoreTest, BatchingAnchorsOneBlock) {
-  ProvenanceStoreOptions opts;
-  opts.batch_size = 4;
-  ProvenanceStore batched(&chain_, &clock_, opts);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(
-        batched.Anchor(Rec("b" + std::to_string(i), "f", "a", 100 + i)).ok());
+  std::vector<ProvenanceRecord> batch;
+  for (int i = 0; i < 4; ++i) {
+    batch.push_back(Rec("b" + std::to_string(i), "f", "a", 100 + i));
   }
-  EXPECT_EQ(chain_.height(), 0u);  // still buffered
-  EXPECT_EQ(batched.pending_count(), 3u);
-  ASSERT_TRUE(batched.Anchor(Rec("b3", "f", "a", 103)).ok());
+  ASSERT_TRUE(store_.AnchorBatch(batch).ok());
   EXPECT_EQ(chain_.height(), 1u);  // one block for the whole batch
-  EXPECT_EQ(batched.pending_count(), 0u);
+  EXPECT_EQ(store_.anchored_count(), 4u);
   auto block = chain_.GetBlock(1);
   ASSERT_TRUE(block.ok());
   EXPECT_EQ(block->transactions.size(), 4u);
@@ -146,52 +149,43 @@ TEST_F(StoreTest, RebuildFromChainRecoversState) {
   ASSERT_TRUE(proof.ok());
 }
 
-TEST_F(StoreTest, PendingDuplicateRejected) {
-  // A duplicate of a *buffered* (not yet flushed) record must be rejected,
-  // otherwise Flush() double-indexes and corrupts graph state mid-batch.
-  ProvenanceStoreOptions opts;
-  opts.batch_size = 4;
-  ProvenanceStore batched(&chain_, &clock_, opts);
-  ASSERT_TRUE(batched.Anchor(Rec("dup", "f", "a", 100)).ok());
-  EXPECT_EQ(batched.pending_count(), 1u);
-  EXPECT_TRUE(batched.Anchor(Rec("dup", "f", "a", 200)).IsAlreadyExists());
-  EXPECT_EQ(batched.pending_count(), 1u);
-  ASSERT_TRUE(batched.Flush().ok());
-  EXPECT_EQ(batched.anchored_count(), 1u);
-  // Once flushed, the id stays taken; a fresh id goes through.
-  EXPECT_TRUE(batched.Anchor(Rec("dup", "f", "a", 300)).IsAlreadyExists());
-  ASSERT_TRUE(batched.Anchor(Rec("dup2", "f", "a", 300)).ok());
-}
-
 TEST_F(StoreTest, AnchorBatchRejectsIntraBatchDuplicateAndRollsBack) {
   Status s = store_.AnchorBatch(
       {Rec("x1", "f", "a", 100), Rec("x1", "f", "a", 200)});
   EXPECT_TRUE(s.IsAlreadyExists());
-  // The failed batch leaves nothing behind: no buffered records, and a
-  // corrected retry that reuses the id goes through cleanly.
-  EXPECT_EQ(store_.pending_count(), 0u);
+  // The failed batch leaves nothing behind, and a corrected retry that
+  // reuses the id goes through cleanly.
   EXPECT_EQ(chain_.height(), 0u);
+  EXPECT_EQ(store_.nonce(), 0u);
   ASSERT_TRUE(store_.AnchorBatch(
                   {Rec("x1", "f", "a", 100), Rec("x2", "f", "a", 200)})
                   .ok());
   EXPECT_EQ(store_.anchored_count(), 2u);
 }
 
-TEST_F(StoreTest, FailedFlushKeepsRecordsBuffered) {
-  // A chain that refuses the block (too many txs) must not cost us the
-  // buffered records: they stay pending, ready for a retry.
+TEST_F(StoreTest, ChainRefusalAnchorsNothing) {
+  // A chain that refuses the block (too many txs) anchors none of the
+  // batch and uses no nonce, so a retry that fits goes straight in.
   ledger::ChainOptions chain_opts;
   chain_opts.max_block_txs = 2;
   ledger::Blockchain strict_chain(chain_opts);
-  ProvenanceStoreOptions opts;
-  opts.batch_size = 3;
-  ProvenanceStore batched(&strict_chain, &clock_, opts);
-  ASSERT_TRUE(batched.Anchor(Rec("r1", "f", "a", 100)).ok());
-  ASSERT_TRUE(batched.Anchor(Rec("r2", "f", "a", 200)).ok());
-  EXPECT_FALSE(batched.Anchor(Rec("r3", "f", "a", 300)).ok());  // flush fails
-  EXPECT_EQ(batched.pending_count(), 3u);
-  EXPECT_EQ(strict_chain.height(), 0u);
-  EXPECT_EQ(batched.anchored_count(), 0u);
+  ProvenanceStore store(&strict_chain, &clock_);
+  ASSERT_TRUE(store.Anchor(Rec("r0", "f", "a", 50)).ok());
+  const uint64_t nonce = store.nonce();
+  std::vector<ProvenanceRecord> batch = {
+      Rec("r1", "f", "a", 100), Rec("r2", "f", "a", 200),
+      Rec("r3", "f", "a", 300)};
+  EXPECT_FALSE(store.AnchorBatch(batch).ok());
+  EXPECT_EQ(strict_chain.height(), 1u);
+  EXPECT_EQ(store.anchored_count(), 1u);
+  EXPECT_EQ(store.nonce(), nonce);
+  EXPECT_FALSE(store.HasRecord("r1"));
+
+  batch.pop_back();
+  ASSERT_TRUE(store.AnchorBatch(batch).ok());
+  EXPECT_EQ(strict_chain.height(), 2u);
+  EXPECT_EQ(store.anchored_count(), 3u);
+  EXPECT_EQ(store.nonce(), nonce + 2);
 }
 
 TEST_F(StoreTest, RebuildRestoresNonce) {
@@ -232,23 +226,23 @@ TEST_F(StoreTest, CachedBlockProvesWithoutMerkleRebuild) {
                                   Rec("r2", "f", "a", 200),
                                   Rec("r3", "f", "a", 300)})
                   .ok());
-  size_t builds_before = chain_.merkle_tree_builds();
+  const uint64_t builds_before = TreeBuilds();
   ASSERT_TRUE(store_.ProveRecord("r1").ok());
   // First proof against the block builds its tree exactly once...
-  EXPECT_EQ(chain_.merkle_tree_builds(), builds_before + 1);
+  EXPECT_EQ(TreeBuilds(), builds_before + 1);
   // ...and every further proof against the cached block builds zero trees.
   ASSERT_TRUE(store_.ProveRecord("r2").ok());
   ASSERT_TRUE(store_.ProveRecord("r3").ok());
   ASSERT_TRUE(store_.ProveRecord("r1").ok());
-  EXPECT_EQ(chain_.merkle_tree_builds(), builds_before + 1);
+  EXPECT_EQ(TreeBuilds(), builds_before + 1);
 
   // AuditAll re-proves every record but only ever builds one tree per
   // block, not one per record.
-  size_t audit_baseline = chain_.merkle_tree_builds();
+  const uint64_t audit_baseline = TreeBuilds();
   auto audit = store_.AuditAll();
   ASSERT_TRUE(audit.ok());
   EXPECT_EQ(audit.value(), 3u);
-  EXPECT_EQ(chain_.merkle_tree_builds(), audit_baseline);
+  EXPECT_EQ(TreeBuilds(), audit_baseline);
 }
 
 TEST_F(StoreTest, FollowerAndRebuildMapRecordsToSameTxids) {
@@ -288,35 +282,33 @@ TEST_F(StoreTest, FollowerAndRebuildMapRecordsToSameTxids) {
   EXPECT_EQ(audited.value(), ids.size());
 }
 
-TEST_F(StoreTest, FlushIndexesWholeBatchPastMidBatchIndexFailure) {
-  // Regression: a mid-batch IndexRecord failure used to abort the loop,
-  // leaving that record AND the rest of the batch on-chain but invisible
-  // to queries. Force one by injecting a buffered record's id into the
-  // shared graph out of band (the SciBlock workflows mutate it directly).
-  ProvenanceStoreOptions opts;
-  opts.batch_size = 10;
-  ProvenanceStore batched(&chain_, &clock_, opts);
-  ASSERT_TRUE(batched.Anchor(Rec("r1", "f", "a", 100)).ok());
-  ASSERT_TRUE(batched.Anchor(Rec("r2", "f", "a", 200)).ok());
-  ASSERT_TRUE(batched.Anchor(Rec("r3", "f", "a", 300)).ok());
-  // r2 lands in the graph behind the store's back: its IndexRecord in the
-  // upcoming flush must fail with AlreadyExists.
-  ASSERT_TRUE(batched.mutable_graph()->AddRecord(Rec("r2", "f", "a", 200)).ok());
+TEST_F(StoreTest, RecordAddedBehindStoreIsDroppedNotAnchored) {
+  // A prepared record whose id enters the shared graph out of band before
+  // the commit (the SciBlock workflows mutate it directly) is dropped
+  // before the block forms, so it never lands on chain unindexed; the
+  // rest of the batch commits and stays provable.
+  std::vector<PreparedRecord> prepared;
+  for (int i = 1; i <= 3; ++i) {
+    auto p = store_.PrepareRecord(Rec("r" + std::to_string(i), "f", "a",
+                                      100 * i),
+                                  store_.nonce() + i);
+    ASSERT_TRUE(p.ok());
+    prepared.push_back(std::move(p).value());
+  }
+  ASSERT_TRUE(store_.mutable_graph()->AddRecord(Rec("r2", "f", "a", 200)).ok());
 
-  Status s = batched.Flush();
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("2/3"), std::string::npos) << s.ToString();
-
-  // The block made it on-chain, and every *other* record of the batch is
-  // still indexed and auditable — r3 was not abandoned behind r2's failure.
-  EXPECT_EQ(chain_.height(), 1u);
-  EXPECT_TRUE(batched.HasRecord("r1"));
-  EXPECT_TRUE(batched.HasRecord("r3"));
-  EXPECT_EQ(batched.SubjectHistory("f").size(), 3u);
-  EXPECT_EQ(batched.anchored_count(), 2u);  // r2's IndexRecord failed
-  EXPECT_EQ(batched.pending_count(), 0u);
-  ASSERT_TRUE(batched.ProveRecord("r1").ok());
-  ASSERT_TRUE(batched.ProveRecord("r3").ok());
+  size_t committed = 0;
+  Status s = store_.AnchorPrepared(std::move(prepared), &committed);
+  EXPECT_TRUE(s.IsAlreadyExists()) << s.ToString();
+  EXPECT_EQ(committed, 2u);
+  ASSERT_EQ(chain_.height(), 1u);
+  EXPECT_EQ(chain_.PeekBlock(1)->transactions.size(), 2u);
+  ASSERT_TRUE(store_.ProveRecord("r1").ok());
+  ASSERT_TRUE(store_.ProveRecord("r3").ok());
+  EXPECT_TRUE(store_.RecordTxId("r2").status().IsNotFound());
+  auto audited = store_.AuditAll();
+  ASSERT_TRUE(audited.ok()) << audited.status().ToString();
+  EXPECT_EQ(audited.value(), 2u);
 }
 
 TEST_F(StoreTest, PrivacyModeHashesAgents) {
@@ -442,7 +434,6 @@ TEST_F(CaptureTest, DataStoreCaptureKeepsBufferWhenFlushFails) {
   // Third capture trips the auto-flush; the chain refuses the 3-tx block.
   EXPECT_FALSE(ds.Capture("u", Rec("r3", "f", "store", 3)).ok());
   EXPECT_EQ(ds.buffered(), 3u);  // nothing lost
-  EXPECT_EQ(store.pending_count(), 0u);
   EXPECT_EQ(strict_chain.height(), 0u);
 
   // An explicit retry still fails (the block is still too big) but keeps
@@ -450,36 +441,6 @@ TEST_F(CaptureTest, DataStoreCaptureKeepsBufferWhenFlushFails) {
   EXPECT_FALSE(ds.FlushBuffered().ok());
   EXPECT_EQ(ds.buffered(), 3u);
   EXPECT_EQ(ds.metrics().records, 3u);
-}
-
-TEST_F(CaptureTest, DataStoreCaptureDoesNotRebufferAnchoredBatch) {
-  // Counterpart of the restore-on-failure fix: when the block DID land and
-  // only post-append indexing failed, the records are on-chain — putting
-  // them back in the buffer would wedge every future flush on duplicates.
-  ProvenanceStoreOptions opts;
-  opts.batch_size = 8;
-  ProvenanceStore store(&chain_, &clock_, opts);
-  // A record pending from another producer whose IndexRecord will fail
-  // (injected into the shared graph out of band, as the SciBlock shared-
-  // graph workflows can).
-  ASSERT_TRUE(store.Anchor(Rec("p1", "f", "other", 1)).ok());
-  ASSERT_TRUE(store.mutable_graph()->AddRecord(Rec("p1", "f", "other", 1)).ok());
-
-  DataStoreCapture ds(&store, &clock_, /*flush_threshold=*/8);
-  ASSERT_TRUE(ds.Capture("u", Rec("r1", "f", "store", 2)).ok());
-  ASSERT_TRUE(ds.Capture("u", Rec("r2", "f", "store", 3)).ok());
-  // The combined block [p1, r1, r2] lands; p1's indexing fails afterwards.
-  Status s = ds.FlushBuffered();
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(chain_.height(), 1u);  // the block landed
-  EXPECT_EQ(ds.buffered(), 0u);    // capture must NOT re-buffer
-  EXPECT_EQ(store.pending_count(), 0u);
-  // The capture's records are fully anchored, and later flushes flow.
-  EXPECT_TRUE(store.HasRecord("r1"));
-  EXPECT_TRUE(store.HasRecord("r2"));
-  ASSERT_TRUE(ds.Capture("u", Rec("r3", "f", "store", 4)).ok());
-  ASSERT_TRUE(ds.FlushBuffered().ok());
-  EXPECT_TRUE(store.HasRecord("r3"));
 }
 
 TEST_F(CaptureTest, CentralizedCaptureChecksToken) {

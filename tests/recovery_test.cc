@@ -14,6 +14,7 @@
 #include <set>
 
 #include "common/fileio.h"
+#include "common/hash64.h"
 #include "ledger/chain_log.h"
 #include "prov/store.h"
 #include "storage/file_kv_store.h"
@@ -377,7 +378,7 @@ TEST_F(RecoveryTest, SnapshotRestoresGraphIndexAndTail) {
   // r3 consumed r2's output, so the cascade marked it too.
   EXPECT_TRUE(restored.graph().IsInvalidated("r3"));
 
-  // Proofs and the full audit run against the restored rec/ index.
+  // Proofs and the full audit run against the restored txid column.
   ASSERT_TRUE(restored.ProveRecord("r1").ok());
   ASSERT_TRUE(restored.ProveRecord("r5").ok());
   auto audit = restored.AuditAll();
@@ -394,8 +395,8 @@ TEST_F(RecoveryTest, SnapshotRestoresGraphIndexAndTail) {
 
 TEST_F(RecoveryTest, RestoredStoreHydratesEveryDeferredStructure) {
   // A restored store defers records, intern maps, adjacency, postings,
-  // meta edges, the time index, and the rec/ index to first touch. Drive
-  // every one of those paths and hold the results against the original.
+  // meta edges and the time index to first touch. Drive every one of
+  // those paths and hold the results against the original.
   const std::string snapshot = dir_ + "/store.snap";
   ledger::Blockchain chain;
   SimClock clock(1'000'000);
@@ -452,7 +453,7 @@ TEST_F(RecoveryTest, RestoredStoreHydratesEveryDeferredStructure) {
                     prov::Query().OnlyValid().CountOnly()).count,
             20u);
 
-  // New anchors after restore (hydrates everything left + the index).
+  // New anchors after restore (hydrates everything left).
   ASSERT_TRUE(restored.Anchor(Rec("r40", "s0", "a0", 200, {"e39"})).ok());
   EXPECT_EQ(restored.SubjectHistory("s0").size(), 9u);
   auto audit = restored.AuditAll();
@@ -539,20 +540,23 @@ TEST_F(RecoveryTest, RetiredSnapshotFormatIsAMissNotCorruption) {
   ASSERT_TRUE(store.SaveSnapshot(snapshot).ok());
   auto saved = ReadFileToBytes(snapshot);
   ASSERT_TRUE(saved.ok());
-  ASSERT_EQ(std::string(saved->begin(), saved->begin() + 8), "PLSNAP03");
+  ASSERT_EQ(std::string(saved->begin(), saved->begin() + 8), "PLSNAP04");
 
-  // A file in the retired whole-graph format (magic PLSNAP02) is a cache
-  // miss: LoadSnapshot refuses it as stale and Recover rebuilds from the
-  // chain instead of failing.
-  Bytes retired = saved.value();
-  retired[7] = '2';
-  ASSERT_TRUE(WriteFileAtomic(snapshot, retired).ok());
-  prov::ProvenanceStore fresh(&chain, &clock);
-  EXPECT_TRUE(fresh.LoadSnapshot(snapshot).IsFailedPrecondition());
-  EXPECT_EQ(fresh.anchored_count(), 0u);
-  ASSERT_TRUE(fresh.Recover(snapshot).ok());
-  EXPECT_EQ(fresh.anchored_count(), 2u);
-  EXPECT_EQ(fresh.Lineage("sum"), std::vector<std::string>{"doc"});
+  // A file in a retired format — the whole-graph serialization (PLSNAP02)
+  // or row groups plus a rec/ index (PLSNAP03) — is a cache miss:
+  // LoadSnapshot refuses it as stale and Recover rebuilds from the chain
+  // instead of failing.
+  for (char version : {'2', '3'}) {
+    Bytes retired = saved.value();
+    retired[7] = static_cast<uint8_t>(version);
+    ASSERT_TRUE(WriteFileAtomic(snapshot, retired).ok());
+    prov::ProvenanceStore fresh(&chain, &clock);
+    EXPECT_TRUE(fresh.LoadSnapshot(snapshot).IsFailedPrecondition());
+    EXPECT_EQ(fresh.anchored_count(), 0u);
+    ASSERT_TRUE(fresh.Recover(snapshot).ok());
+    EXPECT_EQ(fresh.anchored_count(), 2u);
+    EXPECT_EQ(fresh.Lineage("sum"), std::vector<std::string>{"doc"});
+  }
 
   // An unknown magic is still corruption, as is a checksum mismatch.
   Bytes unknown = saved.value();
@@ -565,6 +569,39 @@ TEST_F(RecoveryTest, RetiredSnapshotFormatIsAMissNotCorruption) {
   flipped.back() ^= 0x01;
   ASSERT_TRUE(WriteFileAtomic(snapshot, flipped).ok());
   EXPECT_TRUE(other.LoadSnapshot(snapshot).IsCorruption());
+}
+
+TEST_F(RecoveryTest, BadTxidColumnLeavesLiveStoreUntouched) {
+  const std::string snapshot = dir_ + "/store.snap";
+  ledger::Blockchain chain;
+  SimClock clock(1'000'000);
+  prov::ProvenanceStore store(&chain, &clock);
+  ASSERT_TRUE(store.Anchor(Rec("r1", "doc", "alice", 100)).ok());
+  ASSERT_TRUE(store.Anchor(Rec("r2", "doc", "bob", 200)).ok());
+  ASSERT_TRUE(store.SaveSnapshot(snapshot).ok());
+  ASSERT_TRUE(store.PublishSnapshot().ok());
+  const uint64_t epoch = store.snapshot_epoch();
+
+  // Drop the column's last digest and re-frame the body's length and
+  // checksum, so the column is the only thing wrong with the file.
+  auto saved = ReadFileToBytes(snapshot);
+  ASSERT_TRUE(saved.ok());
+  constexpr size_t kFrame = 8 + 4 + 8;  // magic, body length, checksum
+  const Bytes body(saved->begin() + kFrame, saved->end() - 32);
+  Encoder file;
+  file.PutRaw(Bytes(saved->begin(), saved->begin() + 8));
+  file.PutU32(static_cast<uint32_t>(body.size()));
+  file.PutU64(Hash64(body));
+  file.PutRaw(body);
+  ASSERT_TRUE(WriteFileAtomic(snapshot, file.buffer()).ok());
+
+  // The column is checked before any state is replaced: the live store
+  // keeps its records, its answers and its published epoch.
+  EXPECT_TRUE(store.LoadSnapshot(snapshot).IsCorruption());
+  EXPECT_EQ(store.anchored_count(), 2u);
+  EXPECT_EQ(store.SubjectHistory("doc").size(), 2u);
+  EXPECT_EQ(store.snapshot_epoch(), epoch);
+  EXPECT_TRUE(store.ProveRecord("r2").ok());
 }
 
 TEST_F(RecoveryTest, SnapshotRoundTripsRowGroupsAndKeepsPublishing) {

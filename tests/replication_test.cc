@@ -508,7 +508,12 @@ TEST(ReplicationTest, LineageProofServedOverWire) {
   (*cluster)->RunUntilIdle();
   ASSERT_TRUE(requester->last_proof().received);
   ASSERT_TRUE(requester->last_proof().ok) << requester->last_proof().message;
-  EXPECT_GE((*cluster)->node(2)->metrics().proofs_served, 1u);
+  EXPECT_GE((*cluster)
+                ->node(2)
+                ->registry()
+                ->GetCounter("repl_proofs_served_total", "")
+                ->value(),
+            1u);
   const Bytes wire = requester->last_proof().proof;
   auto proof = audit::LineageProof::Decode(wire);
   ASSERT_TRUE(proof.ok());

@@ -92,33 +92,6 @@ TEST(MemKvStoreTest, IteratorsShareSnapshotsCopyOnWrite) {
   EXPECT_FALSE(store.Has("k"));
 }
 
-TEST(MemKvStoreTest, LoadSortedReplacesContents) {
-  MemKvStore store;
-  ASSERT_TRUE(store.Put("old", ToBytes("gone")).ok());
-  auto snapshot = store.NewIterator();
-
-  ASSERT_TRUE(store
-                  .LoadSorted({{"a", ToBytes("1")},
-                               {"b", ToBytes("2")},
-                               {"c", ToBytes("3")}})
-                  .ok());
-  EXPECT_EQ(store.ApproximateCount(), 3u);
-  EXPECT_EQ(store.ApproximateBytes(), 6u);
-  EXPECT_FALSE(store.Has("old"));
-  EXPECT_TRUE(store.Has("b"));
-  // The pre-load snapshot still reads the old state.
-  snapshot->SeekToFirst();
-  ASSERT_TRUE(snapshot->Valid());
-  EXPECT_EQ(snapshot->key(), "old");
-
-  // Unsorted (or duplicated) input is rejected, state unchanged.
-  EXPECT_TRUE(store.LoadSorted({{"z", ToBytes("1")}, {"a", ToBytes("2")}})
-                  .IsInvalidArgument());
-  EXPECT_TRUE(store.LoadSorted({{"a", ToBytes("1")}, {"a", ToBytes("2")}})
-                  .IsInvalidArgument());
-  EXPECT_EQ(store.ApproximateCount(), 3u);
-}
-
 TEST(MemKvStoreTest, IteratorSeek) {
   MemKvStore store;
   for (const char* k : {"apple", "banana", "cherry"}) {
