@@ -111,8 +111,11 @@ void MutateOnce(Rng* rng, const std::vector<Bytes>& pool, Bytes* input) {
       const size_t keep = rng->NextBelow(input->size() + 1);
       const size_t from = rng->NextBelow(other.size());
       input->resize(keep);
+      // Only what survives the cap below is copied.
+      const size_t room = kMaxInputBytes - std::min(keep, kMaxInputBytes);
+      const size_t take = std::min(other.size() - from, room);
       input->insert(input->end(), other.begin() + static_cast<ptrdiff_t>(from),
-                    other.end());
+                    other.begin() + static_cast<ptrdiff_t>(from + take));
       break;
     }
     default: {  // duplicate an internal chunk (repeated-section torture)
@@ -171,7 +174,11 @@ int main(int argc, char** argv) {
   Rng rng(seed);
   Bytes scratch;
   for (uint64_t i = 0; i < iterations; ++i) {
-    scratch = pool[rng.NextBelow(pool.size())];
+    // The first mutation caps the input anyway; copy only that much.
+    const Bytes& base = pool[rng.NextBelow(pool.size())];
+    scratch.assign(base.begin(),
+                   base.begin() + static_cast<ptrdiff_t>(
+                                      std::min(base.size(), kMaxInputBytes)));
     const uint64_t steps = 1 + rng.NextBelow(6);
     for (uint64_t s = 0; s < steps; ++s) MutateOnce(&rng, pool, &scratch);
     RunOne(scratch);

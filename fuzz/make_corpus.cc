@@ -379,6 +379,59 @@ void EmitStoreSnapshot() {
     bad.EncodeTo(&enc);
     WriteSeed("store_snapshot", "crash-subject-range.bin", enc.TakeBuffer());
   }
+  {
+    // Three groups whose time ranges overlap: each group's first rows are
+    // back-dated into its predecessor's range, with equal timestamps on
+    // both sides of the boundary. The last group repeats a name the first
+    // one interned (a checksum-valid image no builder writes), and one of
+    // its rows consumes the repeat's id; the name resolves to its lowest
+    // id.
+    prov::ProvenanceGraph groups;
+    for (size_t i = 0; i < 2 * prov::kRowGroupRows + 64; ++i) {
+      prov::ProvenanceRecord rec;
+      rec.record_id = "r" + std::to_string(i);
+      rec.operation = "op";
+      rec.subject = "s" + std::to_string(i % 40);
+      rec.agent = "a" + std::to_string(i % 3);
+      rec.timestamp = static_cast<Timestamp>(5'000'000 + i);
+      if (i >= prov::kRowGroupRows && i % prov::kRowGroupRows < 32) {
+        rec.timestamp -= 64;
+      }
+      rec.inputs.push_back("e" + std::to_string((i + 499) % 500));
+      rec.outputs.push_back("e" + std::to_string(i % 500));
+      if (!groups.AddRecord(rec).ok()) std::exit(1);
+    }
+    // Only each group's first 64 rows (the overlapping ones) keep whole
+    // record encodings; the rest keep just their record ids, which decode
+    // to empty records, so the seed stays near 1.5 MB.
+    prov::GraphImage image = groups.Image();
+    for (auto& group : image.groups) {
+      auto slim = std::make_shared<prov::RowGroup>(*group);
+      slim->records = prov::EntryColumn();
+      for (size_t row = 0; row < group->rows(); ++row) {
+        if (row >= 64) {
+          slim->records.AppendName(group->records.name(row));
+          continue;
+        }
+        const auto& bytes = group->records.bytes;
+        slim->records.offsets.push_back(
+            static_cast<uint32_t>(slim->records.bytes.size()));
+        slim->records.bytes.insert(
+            slim->records.bytes.end(),
+            bytes.begin() + static_cast<ptrdiff_t>(group->records.offsets[row]),
+            bytes.begin() + static_cast<ptrdiff_t>(group->records.end(row)));
+      }
+      group = slim;
+    }
+    auto last = std::make_shared<prov::RowGroup>(*image.groups.back());
+    const uint32_t repeat = last->entity_end();
+    last->entity_names.AppendName(image.groups[0]->entity_names.name(0));
+    last->inputs[0] = repeat;
+    image.groups.back() = last;
+    Encoder enc;
+    image.EncodeTo(&enc);
+    WriteSeed("store_snapshot", "overlapping-groups.bin", enc.TakeBuffer());
+  }
 }
 
 }  // namespace

@@ -299,8 +299,10 @@ AuditReport ContinuousAuditor::RunPass() {
     }
   }
 
-  // Record <-> index round-trip, serial with one reader per pass (reader
-  // hydration is per-reader state; one pass shares it across blocks).
+  // Record <-> index round-trip, serial with one reader per pass. Record
+  // ids resolve through the groups' shared name tables (built once per
+  // group, shared with every query reader); decoded records are per-reader
+  // state, which one pass shares across blocks.
   if (snap != nullptr) {
     auto reader = snap->OpenReader();
     if (!reader.ok()) {

@@ -30,26 +30,44 @@ bool InsertSortedUnique(std::vector<uint32_t>* v, uint32_t x) {
   v->insert(it, x);
   return true;
 }
-}  // namespace
 
-void ProvenanceGraph::AppendByTime(std::vector<uint32_t>* postings,
-                                   uint32_t rid, uint8_t* dirty) {
-  if (!postings->empty() && ts_[postings->back()] > ts_[rid]) {
-    *dirty = 1;
-  }
-  postings->push_back(rid);
+// An in-memory per-id list as a span; empty when the id has none.
+IdSpan SpanOf(const std::vector<std::vector<uint32_t>>& lists, uint32_t id) {
+  if (id >= lists.size()) return {};
+  return {lists[id].data(), lists[id].data() + lists[id].size()};
 }
 
-void ProvenanceGraph::EnsureTimeSorted(std::vector<uint32_t>* postings,
-                                       uint8_t* dirty) const {
-  if (!*dirty) return;
+void AddSpan(IdSpan span, std::vector<IdSpan>* out) {
+  if (!span.empty()) out->push_back(span);
+}
+
+size_t Total(const std::vector<IdSpan>& spans) {
+  size_t n = 0;
+  for (const IdSpan& span : spans) n += span.size();
+  return n;
+}
+}  // namespace
+
+void ProvenanceGraph::AppendByTime(std::vector<uint32_t>* list, uint32_t rid,
+                                   uint8_t* dirty) {
+  if (!list->empty() && TimeOf(list->back()) > TimeOf(rid)) *dirty = 1;
+  list->push_back(rid);
+}
+
+void ProvenanceGraph::SortByTime(std::vector<uint32_t>* list) const {
   // Record ids increase in ingest order, so sorting (timestamp, rid)
   // reproduces the documented "(timestamp, ingest)" tie order.
-  std::sort(postings->begin(), postings->end(),
-            [this](uint32_t a, uint32_t b) {
-              Timestamp ta = ts_[a], tb = ts_[b];
-              return ta != tb ? ta < tb : a < b;
-            });
+  std::vector<std::pair<Timestamp, uint32_t>> keyed;
+  keyed.reserve(list->size());
+  for (uint32_t rid : *list) keyed.emplace_back(TimeOf(rid), rid);
+  std::sort(keyed.begin(), keyed.end());
+  for (size_t i = 0; i < keyed.size(); ++i) (*list)[i] = keyed[i].second;
+}
+
+void ProvenanceGraph::EnsureTimeSorted(std::vector<uint32_t>* list,
+                                       uint8_t* dirty) const {
+  if (!*dirty) return;
+  SortByTime(list);
   *dirty = 0;
 }
 
@@ -59,19 +77,13 @@ Status ProvenanceGraph::AddRecord(const ProvenanceRecord& record) {
 
 Status ProvenanceGraph::AddRecord(ProvenanceRecord&& record) {
   PROVLEDGER_RETURN_NOT_OK(record.Validate());
-  if (record_ids_.Find(record.record_id) != InternTable::kNone) {
+  // Interning a known id returns its old row; a new id gets the next one.
+  const uint32_t rid = record_ids_.Intern(record.record_id);
+  if (rid != record_count()) {
     return Status::AlreadyExists("record already in graph: " +
                                  record.record_id);
   }
 
-  // An opened graph must rebuild everything before its first mutation:
-  // ingest appends into every derived structure.
-  EnsureUsageLoaded();
-  EnsureDerivationsLoaded();
-  EnsurePostingsLoaded();
-  EnsureTimeIndexLoaded();
-
-  uint32_t rid = record_ids_.Intern(record.record_id);
   records_.push_back(std::move(record));
   // The moved-in record's strings stay valid inside records_; index off
   // that resting place instead of the consumed parameter.
@@ -101,10 +113,12 @@ Status ProvenanceGraph::AddRecord(ProvenanceRecord&& record) {
   IndexUsage(rid);
   edge_count_ += Inputs(rid).size() + Outputs(rid).size() +
                  IndexDerivations(rid) + 1;
-  if (by_subject_[subject].empty()) ++subject_count_;
+  if (by_subject_[subject].empty() && !BaseHasSubject(subject)) {
+    ++subject_count_;
+  }
   AppendByTime(&by_subject_[subject], rid, &subject_dirty_[subject]);
   AppendByTime(&by_agent_[aid], rid, &agent_dirty_[aid]);
-  IndexTime(rid);
+  AppendByTime(&by_time_, rid, &time_dirty_);
   return Status::OK();
 }
 
@@ -125,22 +139,102 @@ Result<ProvenanceRecord> ProvenanceGraph::GetRecord(
   return RecordAt(rid);
 }
 
+// ---------------------------------------------------------------------------
+// Per-id lookups over base groups and in-memory rows.
+// ---------------------------------------------------------------------------
+
+void ProvenanceGraph::BaseLists(IdLists GroupIndex::*lists, uint32_t key,
+                                bool agent_key,
+                                std::vector<IdSpan>* out) const {
+  for (const auto& group : base_) {
+    // Ids are handed out in first-seen order, and a group only references
+    // ids below its table ends, so older groups cannot hold newer keys.
+    if (key >= (agent_key ? group->agent_end() : group->entity_end())) {
+      continue;
+    }
+    AddSpan((group->index().*lists).Find(key), out);
+  }
+}
+
+IdSpan ProvenanceGraph::MemoryPostings(
+    std::vector<std::vector<uint32_t>>* lists, std::vector<uint8_t>* dirty,
+    uint32_t key) const {
+  if (key >= lists->size()) return {};
+  EnsureTimeSorted(&(*lists)[key], &(*dirty)[key]);
+  return SpanOf(*lists, key);
+}
+
+bool ProvenanceGraph::BaseHasSubject(uint32_t eid) const {
+  std::vector<IdSpan> lists;
+  BaseLists(&GroupIndex::by_subject, eid, false, &lists);
+  return !lists.empty();
+}
+
+bool ProvenanceGraph::BaseHasDerivation(uint32_t out, uint32_t in) const {
+  std::vector<IdSpan> lists;
+  BaseLists(&GroupIndex::derived_from, out, false, &lists);
+  for (const IdSpan& inputs : lists) {
+    if (std::binary_search(inputs.begin(), inputs.end(), in)) return true;
+  }
+  return false;
+}
+
+void ProvenanceGraph::IndexUsage(uint32_t rid) {
+  for (uint32_t in : Inputs(rid)) used_by_[in].push_back(rid);
+  for (uint32_t out : Outputs(rid)) generated_by_[out].push_back(rid);
+}
+
+size_t ProvenanceGraph::IndexDerivations(uint32_t rid) {
+  size_t added = 0;
+  const IdSpan inputs = Inputs(rid);
+  for (uint32_t out : Outputs(rid)) {
+    for (uint32_t in : inputs) {
+      if (in == out) continue;
+      if (InsertSortedUnique(&derived_from_[out], in) &&
+          !BaseHasDerivation(out, in)) {
+        ++added;
+      }
+      InsertSortedUnique(&derivations_[in], out);
+    }
+  }
+  return added;
+}
+
 std::vector<std::string> ProvenanceGraph::EntityClosure(
-    const std::vector<std::vector<uint32_t>>& adjacency,
-    const std::string& start) const {
+    bool ancestors, const std::string& start) const {
   std::vector<std::string> out;
   uint32_t s = entities_.Find(start);
   if (s == InternTable::kNone) return out;
 
+  IdLists GroupIndex::*base =
+      ancestors ? &GroupIndex::derived_from : &GroupIndex::derivations;
+  const auto& memory = ancestors ? derived_from_ : derivations_;
   Bitset seen(entities_.size());
   seen.TestAndSet(s);
   // `reached` doubles as the BFS queue: ids are only appended, and `head`
   // walks it front to back.
   std::vector<uint32_t> reached;
   reached.push_back(s);
+  std::vector<IdSpan> lists;
+  std::vector<uint32_t> merged;
   for (size_t head = 0; head < reached.size(); ++head) {
-    for (uint32_t next : adjacency[reached[head]]) {
-      if (seen.TestAndSet(next)) reached.push_back(next);
+    const uint32_t eid = reached[head];
+    lists.clear();
+    BaseLists(base, eid, false, &lists);
+    AddSpan(SpanOf(memory, eid), &lists);
+    // Each list is sorted; several are merged so neighbours are visited in
+    // ascending id, as one whole-graph list would be.
+    IdSpan next = lists.empty() ? IdSpan{} : lists[0];
+    if (lists.size() > 1) {
+      merged.clear();
+      for (const IdSpan& list : lists) {
+        merged.insert(merged.end(), list.begin(), list.end());
+      }
+      std::sort(merged.begin(), merged.end());
+      next = {merged.data(), merged.data() + merged.size()};
+    }
+    for (uint32_t id : next) {
+      if (seen.TestAndSet(id)) reached.push_back(id);
     }
   }
   out.reserve(reached.size() - 1);
@@ -152,14 +246,12 @@ std::vector<std::string> ProvenanceGraph::EntityClosure(
 
 std::vector<std::string> ProvenanceGraph::Lineage(
     const std::string& entity) const {
-  EnsureDerivationsLoaded();
-  return EntityClosure(derived_from_, entity);
+  return EntityClosure(true, entity);
 }
 
 std::vector<std::string> ProvenanceGraph::Descendants(
     const std::string& entity) const {
-  EnsureDerivationsLoaded();
-  return EntityClosure(derivations_, entity);
+  return EntityClosure(false, entity);
 }
 
 std::vector<ProvenanceRecord> ProvenanceGraph::SubjectHistory(
@@ -181,101 +273,84 @@ std::vector<ProvenanceRecord> ProvenanceGraph::InRange(Timestamp from,
 // Composable query execution.
 // ---------------------------------------------------------------------------
 
-void ProvenanceGraph::EnsureGlobalTimeSorted() const {
-  EnsureTimeIndexLoaded();
-  if (!time_dirty_) return;
-  // Pair order (timestamp, rid) reproduces the documented tie order: rids
-  // are assigned in ingest order, so equal timestamps stay ingest-ordered.
-  std::sort(by_time_.begin(), by_time_.end());
-  time_dirty_ = 0;
-}
-
-std::pair<size_t, size_t> ProvenanceGraph::TimeIndexSlice(
-    std::optional<Timestamp> from, std::optional<Timestamp> to) const {
-  EnsureGlobalTimeSorted();
-  size_t lo =
-      from ? static_cast<size_t>(
-                 std::lower_bound(by_time_.begin(), by_time_.end(),
-                                  std::pair<Timestamp, uint32_t>{*from, 0}) -
-                 by_time_.begin())
-           : 0;
-  size_t hi = to ? static_cast<size_t>(
-                       std::upper_bound(
-                           by_time_.begin(), by_time_.end(),
-                           std::pair<Timestamp, uint32_t>{*to,
-                                                          InternTable::kNone}) -
-                       by_time_.begin())
-                 : by_time_.size();
-  if (hi < lo) hi = lo;
-  return {lo, hi};
-}
-
-void ProvenanceGraph::NarrowByTime(const Query& query,
-                                   const std::vector<uint32_t>& list,
-                                   size_t* lo, size_t* hi) const {
-  if (query.from) {
-    *lo = std::lower_bound(list.begin(), list.end(), *query.from,
-                           [this](uint32_t rid, Timestamp t) {
-                             return ts_[rid] < t;
-                           }) -
-          list.begin();
+IdSpan ProvenanceGraph::NarrowByTime(std::optional<Timestamp> from,
+                                     std::optional<Timestamp> to,
+                                     IdSpan list) const {
+  if (from) {
+    list.first = std::lower_bound(list.first, list.last, *from,
+                                  [this](uint32_t rid, Timestamp t) {
+                                    return TimeOf(rid) < t;
+                                  });
   }
-  if (query.to) {
-    *hi = std::upper_bound(list.begin() + *lo, list.end(), *query.to,
-                           [this](Timestamp t, uint32_t rid) {
-                             return t < ts_[rid];
-                           }) -
-          list.begin();
+  if (to) {
+    list.last = std::upper_bound(list.first, list.last, *to,
+                                 [this](Timestamp t, uint32_t rid) {
+                                   return t < TimeOf(rid);
+                                 });
   }
-  if (*hi < *lo) *hi = *lo;
+  return list;
 }
 
-ProvenanceGraph::QueryPlan ProvenanceGraph::PlanQuery(
-    const Query& query) const {
-  QueryPlan plan;
-  EnsureColumns();  // time narrowing and postings sorts read ts_
+void ProvenanceGraph::TimeSlices(std::optional<Timestamp> from,
+                                 std::optional<Timestamp> to,
+                                 std::vector<IdSpan>* out) const {
+  for (const auto& group : base_) {
+    const GroupIndex& index = group->index();
+    if ((from && index.max_ts < *from) || (to && index.min_ts > *to)) continue;
+    const IdSpan rows{index.by_time.data(),
+                      index.by_time.data() + index.by_time.size()};
+    AddSpan(NarrowByTime(from, to, rows), out);
+  }
+  EnsureTimeSorted(&by_time_, &time_dirty_);
+  AddSpan(NarrowByTime(from, to,
+                       {by_time_.data(), by_time_.data() + by_time_.size()}),
+          out);
+}
+
+void ProvenanceGraph::PlanQuery(const Query& query, QueryPlan* plan) const {
   // An impossible time range matches nothing regardless of indexes.
-  if (query.from && query.to && *query.from > *query.to) return plan;
+  if (query.from && query.to && *query.from > *query.to) return;
 
-  // Candidate estimates per applicable index; a filter naming an unknown
-  // key is an immediate empty result. kNone marks "not applicable".
+  // Candidate lists per applicable index; a filter naming an unknown key
+  // is an immediate empty result. Estimates are the lists' total sizes;
+  // kNotApplicable marks an index the query does not constrain.
   constexpr size_t kNotApplicable = std::numeric_limits<size_t>::max();
   size_t subject_n = kNotApplicable, agent_n = kNotApplicable;
   size_t input_n = kNotApplicable, output_n = kNotApplicable;
   size_t range_n = kNotApplicable;
   uint32_t subject_eid = InternTable::kNone, agent_aid = InternTable::kNone;
-  uint32_t input_eid = InternTable::kNone, output_eid = InternTable::kNone;
-  size_t range_lo = 0, range_hi = 0;
+  std::vector<IdSpan> subject_lists, agent_lists, input_lists, output_lists;
+  std::vector<IdSpan> range_lists;
 
   if (query.subject) {
-    EnsurePostingsLoaded();
     subject_eid = entities_.Find(*query.subject);
-    if (subject_eid == InternTable::kNone) return plan;
-    subject_n = by_subject_[subject_eid].size();
+    if (subject_eid == InternTable::kNone) return;
+    BaseLists(&GroupIndex::by_subject, subject_eid, false, &subject_lists);
+    subject_n = Total(subject_lists) + SpanOf(by_subject_, subject_eid).size();
   }
   if (query.agent) {
-    EnsurePostingsLoaded();
     agent_aid = agents_.Find(*query.agent);
-    if (agent_aid == InternTable::kNone || agent_aid >= by_agent_.size()) {
-      return plan;
-    }
-    agent_n = by_agent_[agent_aid].size();
+    if (agent_aid == InternTable::kNone) return;
+    BaseLists(&GroupIndex::by_agent, agent_aid, true, &agent_lists);
+    agent_n = Total(agent_lists) + SpanOf(by_agent_, agent_aid).size();
   }
   if (query.input) {
-    EnsureUsageLoaded();
-    input_eid = entities_.Find(*query.input);
-    if (input_eid == InternTable::kNone) return plan;
-    input_n = used_by_[input_eid].size();
+    const uint32_t eid = entities_.Find(*query.input);
+    if (eid == InternTable::kNone) return;
+    BaseLists(&GroupIndex::used_by, eid, false, &input_lists);
+    AddSpan(SpanOf(used_by_, eid), &input_lists);
+    input_n = Total(input_lists);
   }
   if (query.output) {
-    EnsureUsageLoaded();
-    output_eid = entities_.Find(*query.output);
-    if (output_eid == InternTable::kNone) return plan;
-    output_n = generated_by_[output_eid].size();
+    const uint32_t eid = entities_.Find(*query.output);
+    if (eid == InternTable::kNone) return;
+    BaseLists(&GroupIndex::generated_by, eid, false, &output_lists);
+    AddSpan(SpanOf(generated_by_, eid), &output_lists);
+    output_n = Total(output_lists);
   }
   if (query.from || query.to) {
-    std::tie(range_lo, range_hi) = TimeIndexSlice(query.from, query.to);
-    range_n = range_hi - range_lo;
+    TimeSlices(query.from, query.to, &range_lists);
+    range_n = Total(range_lists);
   }
 
   // Most selective index wins; ties break toward the cheaper scan shape
@@ -299,62 +374,123 @@ ProvenanceGraph::QueryPlan ProvenanceGraph::PlanQuery(
     }
   }
 
-  plan.index = best;
-  plan.estimate = best_n;
+  plan->index = best;
+  plan->estimate = best_n;
+  // Postings slices (one per group plus the in-memory list) are already in
+  // (timestamp, rid) order; each is narrowed to the time window.
+  auto add_narrowed = [&](const std::vector<IdSpan>& lists) {
+    for (const IdSpan& list : lists) {
+      plan->Add(NarrowByTime(query.from, query.to, list));
+    }
+  };
   switch (best) {
     case QueryIndex::kSubject:
-      EnsureTimeSorted(&by_subject_[subject_eid], &subject_dirty_[subject_eid]);
-      plan.list = &by_subject_[subject_eid];
+      AddSpan(MemoryPostings(&by_subject_, &subject_dirty_, subject_eid),
+              &subject_lists);
+      add_narrowed(subject_lists);
       break;
     case QueryIndex::kAgent:
-      EnsureTimeSorted(&by_agent_[agent_aid], &agent_dirty_[agent_aid]);
-      plan.list = &by_agent_[agent_aid];
+      AddSpan(MemoryPostings(&by_agent_, &agent_dirty_, agent_aid),
+              &agent_lists);
+      add_narrowed(agent_lists);
       break;
     case QueryIndex::kInput:
     case QueryIndex::kOutput: {
-      // Usage postings are appended in ingest order with one entry per
-      // mention (a record can list an entity twice); the owned copy is
-      // sorted into the canonical (timestamp, rid) order and deduplicated
-      // so each record appears once.
-      plan.owned = best == QueryIndex::kInput ? used_by_[input_eid]
-                                              : generated_by_[output_eid];
-      std::sort(plan.owned.begin(), plan.owned.end(),
-                [this](uint32_t a, uint32_t b) {
-                  Timestamp ta = ts_[a], tb = ts_[b];
-                  return ta != tb ? ta < tb : a < b;
-                });
-      plan.owned.erase(std::unique(plan.owned.begin(), plan.owned.end()),
-                       plan.owned.end());
-      plan.use_owned = true;
+      // Usage lists are in ingest order with one entry per mention (a
+      // record can list an entity twice); the owned copy is sorted into the
+      // canonical (timestamp, rid) order and deduplicated so each record
+      // appears once.
+      std::vector<uint32_t>& owned = plan->owned;
+      for (const IdSpan& list :
+           best == QueryIndex::kInput ? input_lists : output_lists) {
+        owned.insert(owned.end(), list.begin(), list.end());
+      }
+      SortByTime(&owned);
+      owned.erase(std::unique(owned.begin(), owned.end()), owned.end());
+      add_narrowed({{owned.data(), owned.data() + owned.size()}});
       break;
     }
     case QueryIndex::kTimeRange:
-      plan.lo = range_lo;
-      plan.hi = range_hi;
+      for (const IdSpan& slice : range_lists) plan->Add(slice);
       break;
-    case QueryIndex::kFullScan:
-      EnsureGlobalTimeSorted();
-      plan.hi = by_time_.size();
+    case QueryIndex::kFullScan: {
+      std::vector<IdSpan> all;
+      TimeSlices(std::nullopt, std::nullopt, &all);
+      for (const IdSpan& slice : all) plan->Add(slice);
       break;
-  }
-  if (plan.use_owned || plan.list != nullptr) {
-    const std::vector<uint32_t>& candidates =
-        plan.use_owned ? plan.owned : *plan.list;
-    plan.hi = candidates.size();
-    NarrowByTime(query, candidates, &plan.lo, &plan.hi);
+    }
   }
 
   // Does the slice alone guarantee every filter? (Time bounds are always
   // honored: postings slices are narrowed above, and a present time range
   // beats a full scan in the selectivity contest.)
-  plan.covers_filters =
+  plan->covers_filters =
       !query.subject_prefix && !query.domain && query.operations.empty() &&
       !query.invalidated && query.field_equals.empty() &&
       (!query.subject || best == QueryIndex::kSubject) &&
       (!query.agent || best == QueryIndex::kAgent) &&
       (!query.input || best == QueryIndex::kInput) &&
       (!query.output || best == QueryIndex::kOutput);
-  return plan;
+}
+
+ProvenanceGraph::PlanCursor::PlanCursor(const ProvenanceGraph& graph,
+                                        const QueryPlan& plan,
+                                        bool descending)
+    : graph_(graph), descending_(descending) {
+  heads_.reserve(plan.slices.size());
+  for (const IdSpan& slice : plan.slices) {  // never empty (QueryPlan::Add)
+    Head head{0, 0, descending ? slice.last : slice.first,
+              descending ? slice.first : slice.last};
+    Load(&head);
+    heads_.push_back(head);
+  }
+}
+
+void ProvenanceGraph::PlanCursor::Load(Head* head) const {
+  head->rid = descending_ ? *--head->next : *head->next++;
+  head->ts = graph_.TimeOf(head->rid);
+}
+
+bool ProvenanceGraph::PlanCursor::Next(uint32_t* rid) {
+  if (heads_.empty()) return false;
+  // Rids are unique across slices, so (timestamp, rid) is a total order.
+  size_t best = 0;
+  for (size_t i = 1; i < heads_.size(); ++i) {
+    const Head& a = heads_[i];
+    const Head& b = heads_[best];
+    const bool earlier = a.ts != b.ts ? a.ts < b.ts : a.rid < b.rid;
+    if (earlier != descending_) best = i;
+  }
+  Head& head = heads_[best];
+  *rid = head.rid;
+  if (head.next != head.stop) {
+    Load(&head);
+  } else {
+    head = heads_.back();
+    heads_.pop_back();
+  }
+  return true;
+}
+
+void ProvenanceGraph::PlanCursor::Skip(size_t n) {
+  if (n == 0 || heads_.empty()) return;
+  if (heads_.size() == 1) {
+    Head& head = heads_[0];
+    const auto left = static_cast<size_t>(
+        descending_ ? head.next - head.stop : head.stop - head.next);
+    if (n > left) {
+      heads_.clear();
+      return;
+    }
+    // The head is already loaded: step over it and n - 1 more.
+    const auto step = static_cast<std::ptrdiff_t>(n - 1);
+    head.next += descending_ ? -step : step;
+    Load(&head);
+    return;
+  }
+  uint32_t rid = 0;
+  for (size_t i = 0; i < n && Next(&rid); ++i) {
+  }
 }
 
 // Fan-out only pays once each worker has a few thousand candidates to
@@ -385,11 +521,21 @@ bool ProvenanceGraph::ShouldFanOut(const Query& query,
 
 std::vector<uint32_t> ProvenanceGraph::ParallelMatch(
     const Query& query, const QueryPlan& plan) const {
-  // Planning already hydrated and sorted everything this scan reads (the
-  // chosen index, the global time index, record metadata), so the workers
-  // below only perform pure reads — no locks needed.
+  // Planning already built every index this scan reads and sorted the
+  // in-memory lists, and Warm() decoded every record, so the workers below
+  // only perform pure reads — no locks needed. One slice is already in
+  // order; several are merged into one list first.
+  std::vector<uint32_t> merged;
+  IdSpan order = plan.slices.empty() ? IdSpan{} : plan.slices[0];
+  if (plan.slices.size() > 1) {
+    merged.reserve(plan.size());
+    PlanCursor cursor(*this, plan, false);
+    for (uint32_t rid = 0; cursor.Next(&rid);) merged.push_back(rid);
+    order = {merged.data(), merged.data() + merged.size()};
+  }
+
   common::ThreadPool& pool = common::ThreadPool::Shared();
-  const size_t n = plan.size();
+  const size_t n = order.size();
   size_t workers = std::min(query.parallelism, pool.size() + 1);
   workers = std::min(workers, n / kMinCandidatesPerWorker);
   workers = std::max<size_t>(workers, 1);
@@ -401,7 +547,7 @@ std::vector<uint32_t> ProvenanceGraph::ParallelMatch(
     const size_t hi = std::min(n, lo + chunk);
     std::vector<uint32_t>& out = found[w];
     for (size_t i = lo; i < hi; ++i) {
-      uint32_t rid = PlanRidAt(plan, i);
+      const uint32_t rid = order.first[i];
       if (query.Matches(RecordAt(rid), IsInvalid(rid))) {
         out.push_back(rid);
       }
@@ -418,8 +564,9 @@ std::vector<uint32_t> ProvenanceGraph::ParallelMatch(
   scan(0);  // the calling thread pulls its weight instead of idling
   wg.Wait();
 
-  // Chunks are contiguous plan slices, so in-order concatenation restores
-  // the exact ascending (timestamp, ingest) order of the serial scan.
+  // Chunks are contiguous slices of the order, so in-order concatenation
+  // restores the exact ascending (timestamp, ingest) order of the serial
+  // scan.
   size_t total = 0;
   for (const auto& f : found) total += f.size();
   std::vector<uint32_t> matches;
@@ -449,7 +596,8 @@ void ForEachPageMatch(const std::vector<uint32_t>& matches, size_t offset,
 
 QueryResult ProvenanceGraph::Run(const Query& query) const {
   QueryResult result;
-  QueryPlan plan = PlanQuery(query);
+  QueryPlan plan;
+  PlanQuery(query, &plan);
   result.index_used = plan.index;
   result.candidates_scanned = plan.size();
 
@@ -475,34 +623,33 @@ QueryResult ProvenanceGraph::Run(const Query& query) const {
       result.candidates_scanned = 0;  // no per-record work at all
       return result;
     }
-    for (size_t i = 0; i < plan.size(); ++i) {
-      uint32_t rid = PlanRidAt(plan, i);
-      if (query.Matches(RecordAt(rid), IsInvalid(rid))) {
-        ++result.count;
+    // Counting needs no order: walk the slices as they are.
+    for (const IdSpan& slice : plan.slices) {
+      for (uint32_t rid : slice) {
+        if (query.Matches(RecordAt(rid), IsInvalid(rid))) ++result.count;
       }
     }
     return result;
   }
 
+  PlanCursor cursor(*this, plan, query.descending);
+  uint32_t rid = 0;
   if (plan.covers_filters) {
-    // Every candidate is a match, so offset/limit become slice arithmetic
-    // and no per-record predicate or invalidation lookup runs — the legacy
+    // Every candidate is a match, so offset/limit only steer the walk and
+    // no per-record predicate or invalidation lookup runs — the legacy
     // wrappers (SubjectHistory/ByAgent/InRange) stay pure materialization.
-    size_t start = std::min(query.offset, plan.size());
-    size_t take = std::min(query.limit, plan.size() - start);
-    result.records.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      size_t pos = start + i;
-      result.records.push_back(RecordAt(PlanRidAt(
-          plan, query.descending ? plan.size() - 1 - pos : pos)));
+    const size_t start = std::min(query.offset, plan.size());
+    result.records.reserve(std::min(query.limit, plan.size() - start));
+    cursor.Skip(start);
+    while (result.records.size() < query.limit && cursor.Next(&rid)) {
+      result.records.push_back(RecordAt(rid));
     }
-    result.count = take;
+    result.count = result.records.size();
     return result;
   }
 
   size_t skipped = 0;
-  for (size_t i = 0; i < plan.size(); ++i) {
-    uint32_t rid = PlanRidAt(plan, query.descending ? plan.size() - 1 - i : i);
+  while (cursor.Next(&rid)) {
     if (!query.Matches(RecordAt(rid), IsInvalid(rid))) continue;
     if (skipped < query.offset) {
       ++skipped;
@@ -518,7 +665,8 @@ QueryResult ProvenanceGraph::Run(const Query& query) const {
 QueryExplain ProvenanceGraph::Explain(const Query& query) const {
   QueryExplain out;
   const auto plan_start = std::chrono::steady_clock::now();
-  QueryPlan plan = PlanQuery(query);
+  QueryPlan plan;
+  PlanQuery(query, &plan);
   const auto plan_end = std::chrono::steady_clock::now();
   out.index_used = plan.index;
   out.estimated_candidates = plan.estimate;
@@ -526,16 +674,15 @@ QueryExplain ProvenanceGraph::Explain(const Query& query) const {
   out.plan_seconds =
       std::chrono::duration<double>(plan_end - plan_start).count();
   if (plan.covers_filters) {
-    // Same short-circuit a count-only execution takes: the slice IS the
+    // Same short-circuit a count-only execution takes: the slices ARE the
     // answer, no candidate is ever visited.
     out.rows_matched = plan.size();
     return out;
   }
   out.candidates_scanned = plan.size();
-  for (size_t i = 0; i < plan.size(); ++i) {
-    uint32_t rid = PlanRidAt(plan, i);
-    if (query.Matches(RecordAt(rid), IsInvalid(rid))) {
-      ++out.rows_matched;
+  for (const IdSpan& slice : plan.slices) {
+    for (uint32_t rid : slice) {
+      if (query.Matches(RecordAt(rid), IsInvalid(rid))) ++out.rows_matched;
     }
   }
   out.scan_seconds = std::chrono::duration<double>(
@@ -547,7 +694,8 @@ QueryExplain ProvenanceGraph::Explain(const Query& query) const {
 size_t ProvenanceGraph::Run(
     const Query& query,
     const std::function<bool(const ProvenanceRecord&)>& visit) const {
-  QueryPlan plan = PlanQuery(query);
+  QueryPlan plan;
+  PlanQuery(query, &plan);
 
   if (ShouldFanOut(query, plan)) {
     // Predicate checks fan out; the visitor itself stays on the calling
@@ -562,24 +710,20 @@ size_t ProvenanceGraph::Run(
     return visited;
   }
 
+  PlanCursor cursor(*this, plan, query.descending);
+  uint32_t rid = 0;
+  size_t visited = 0;
   if (plan.covers_filters) {
-    size_t start = std::min(query.offset, plan.size());
-    size_t take = std::min(query.limit, plan.size() - start);
-    size_t visited = 0;
-    for (size_t i = 0; i < take; ++i) {
-      size_t pos = start + i;
+    cursor.Skip(query.offset);
+    while (visited < query.limit && cursor.Next(&rid)) {
       ++visited;
-      if (!visit(RecordAt(PlanRidAt(
-              plan, query.descending ? plan.size() - 1 - pos : pos)))) {
-        break;
-      }
+      if (!visit(RecordAt(rid))) break;
     }
     return visited;
   }
 
-  size_t skipped = 0, visited = 0;
-  for (size_t i = 0; i < plan.size(); ++i) {
-    uint32_t rid = PlanRidAt(plan, query.descending ? plan.size() - 1 - i : i);
+  size_t skipped = 0;
+  while (cursor.Next(&rid)) {
     if (!query.Matches(RecordAt(rid), IsInvalid(rid))) continue;
     if (skipped < query.offset) {
       ++skipped;
@@ -597,59 +741,73 @@ size_t ProvenanceGraph::Run(
 // ---------------------------------------------------------------------------
 
 size_t ProvenanceGraph::SubjectRecordCount(const std::string& subject) const {
-  EnsurePostingsLoaded();
-  uint32_t eid = entities_.Find(subject);
-  return eid == InternTable::kNone ? 0 : by_subject_[eid].size();
+  const uint32_t eid = entities_.Find(subject);
+  if (eid == InternTable::kNone) return 0;
+  std::vector<IdSpan> lists;
+  BaseLists(&GroupIndex::by_subject, eid, false, &lists);
+  return Total(lists) + SpanOf(by_subject_, eid).size();
 }
 
 size_t ProvenanceGraph::AgentRecordCount(const std::string& agent) const {
-  EnsurePostingsLoaded();
-  uint32_t aid = agents_.Find(agent);
-  return aid == InternTable::kNone || aid >= by_agent_.size()
-             ? 0
-             : by_agent_[aid].size();
+  const uint32_t aid = agents_.Find(agent);
+  if (aid == InternTable::kNone) return 0;
+  std::vector<IdSpan> lists;
+  BaseLists(&GroupIndex::by_agent, aid, true, &lists);
+  return Total(lists) + SpanOf(by_agent_, aid).size();
 }
 
 size_t ProvenanceGraph::EntityUseCount(const std::string& entity) const {
-  EnsureUsageLoaded();
-  uint32_t eid = entities_.Find(entity);
-  return eid == InternTable::kNone ? 0 : used_by_[eid].size();
+  const uint32_t eid = entities_.Find(entity);
+  if (eid == InternTable::kNone) return 0;
+  std::vector<IdSpan> lists;
+  BaseLists(&GroupIndex::used_by, eid, false, &lists);
+  return Total(lists) + SpanOf(used_by_, eid).size();
 }
 
 size_t ProvenanceGraph::EntityGenerationCount(
     const std::string& entity) const {
-  EnsureUsageLoaded();
-  uint32_t eid = entities_.Find(entity);
-  return eid == InternTable::kNone ? 0 : generated_by_[eid].size();
+  const uint32_t eid = entities_.Find(entity);
+  if (eid == InternTable::kNone) return 0;
+  std::vector<IdSpan> lists;
+  BaseLists(&GroupIndex::generated_by, eid, false, &lists);
+  return Total(lists) + SpanOf(generated_by_, eid).size();
 }
 
 size_t ProvenanceGraph::InRangeCount(Timestamp from, Timestamp to) const {
   if (from > to) return 0;
-  auto [lo, hi] = TimeIndexSlice(from, to);
-  return hi - lo;
+  std::vector<IdSpan> slices;
+  TimeSlices(from, to, &slices);
+  return Total(slices);
 }
 
 void ProvenanceGraph::AppendDownstream(uint32_t rid, Bitset* seen,
+                                       std::vector<IdSpan>* lists,
                                        std::vector<uint32_t>* out) const {
   for (uint32_t eid : Outputs(rid)) {
-    for (uint32_t consumer : used_by_[eid]) {
-      if (consumer != rid && seen->TestAndSet(consumer)) {
-        out->push_back(consumer);
+    // Group lists in group order, then the in-memory list: ingest order.
+    lists->clear();
+    BaseLists(&GroupIndex::used_by, eid, false, lists);
+    AddSpan(SpanOf(used_by_, eid), lists);
+    for (const IdSpan& consumers : *lists) {
+      for (uint32_t consumer : consumers) {
+        if (consumer != rid && seen->TestAndSet(consumer)) {
+          out->push_back(consumer);
+        }
       }
     }
   }
 }
 
 std::vector<uint32_t> ProvenanceGraph::DownstreamClosure(uint32_t rid) const {
-  EnsureUsageLoaded();  // used_by_ + the output columns drive the BFS
   // BFS over the consumption graph: every record that used (transitively)
   // this record's outputs (SciBlock semantics).
   Bitset seen(record_count());
   seen.TestAndSet(rid);
+  std::vector<IdSpan> lists;
   std::vector<uint32_t> reached;
-  AppendDownstream(rid, &seen, &reached);
+  AppendDownstream(rid, &seen, &lists, &reached);
   for (size_t head = 0; head < reached.size(); ++head) {
-    AppendDownstream(reached[head], &seen, &reached);
+    AppendDownstream(reached[head], &seen, &lists, &reached);
   }
   return reached;
 }
@@ -711,7 +869,7 @@ Result<Invalidation> ProvenanceGraph::GetInvalidation(
 }
 
 // ---------------------------------------------------------------------------
-// Row groups: first-touch rebuilds, Image() and Open().
+// Row groups: record decoding, Image() and Open().
 // ---------------------------------------------------------------------------
 
 const ProvenanceRecord& ProvenanceGraph::DecodeBaseRecord(
@@ -722,7 +880,7 @@ const ProvenanceRecord& ProvenanceGraph::DecodeBaseRecord(
     decoded_.push_back(std::make_unique<ProvenanceRecord[]>(kDecodedChunk));
   }
   ProvenanceRecord& out = decoded_[slot / kDecodedChunk][slot % kDecodedChunk];
-  const EntryColumn& records = base_[rid / kRowGroupRows]->records;
+  const EntryColumn& records = GroupOf(rid).records;
   const size_t row = rid % kRowGroupRows;
   Decoder dec(records.bytes.data() + records.offsets[row],
               records.end(row) - records.offsets[row]);
@@ -733,99 +891,6 @@ const ProvenanceRecord& ProvenanceGraph::DecodeBaseRecord(
   if (rec.ok()) out = std::move(rec).value();
   base_slot_[rid] = static_cast<uint32_t>(slot + 1);
   return out;
-}
-
-void ProvenanceGraph::EnsureColumns() const {
-  if (columns_ready_) return;
-  columns_ready_ = true;
-  // Only base rows can be missing: rows are added in memory only after
-  // AddRecord ran every Ensure*, this one included.
-  subject_col_.reserve(base_rows_);
-  agent_col_.reserve(base_rows_);
-  ts_.reserve(base_rows_);
-  in_end_.reserve(base_rows_);
-  out_end_.reserve(base_rows_);
-  for (const auto& group : base_) {
-    subject_col_.insert(subject_col_.end(), group->subject.begin(),
-                        group->subject.end());
-    agent_col_.insert(agent_col_.end(), group->agent.begin(),
-                      group->agent.end());
-    ts_.insert(ts_.end(), group->timestamp.begin(), group->timestamp.end());
-    const auto in_base = static_cast<uint32_t>(in_ids_.size());
-    for (uint32_t end : group->input_end) in_end_.push_back(in_base + end);
-    in_ids_.insert(in_ids_.end(), group->inputs.begin(), group->inputs.end());
-    const auto out_base = static_cast<uint32_t>(out_ids_.size());
-    for (uint32_t end : group->output_end) out_end_.push_back(out_base + end);
-    out_ids_.insert(out_ids_.end(), group->outputs.begin(),
-                    group->outputs.end());
-  }
-}
-
-void ProvenanceGraph::EnsureUsageLoaded() const {
-  if (usage_ready_) return;
-  EnsureColumns();
-  usage_ready_ = true;
-  generated_by_.assign(entities_.size(), {});
-  used_by_.assign(entities_.size(), {});
-  for (uint32_t rid = 0; rid < base_rows_; ++rid) IndexUsage(rid);
-}
-
-void ProvenanceGraph::EnsureDerivationsLoaded() const {
-  if (derivations_ready_) return;
-  EnsureColumns();
-  derivations_ready_ = true;
-  derived_from_.assign(entities_.size(), {});
-  derivations_.assign(entities_.size(), {});
-  for (uint32_t rid = 0; rid < base_rows_; ++rid) IndexDerivations(rid);
-}
-
-void ProvenanceGraph::EnsurePostingsLoaded() const {
-  if (postings_ready_) return;
-  postings_ready_ = true;
-  by_subject_.assign(entities_.size(), {});
-  subject_dirty_.assign(entities_.size(), 0);
-  by_agent_.assign(agents_.size(), {});
-  agent_dirty_.assign(agents_.size(), 0);
-  // Walking rows in (timestamp, rid) order leaves every list in its
-  // canonical order: no list starts dirty, whatever order rows arrived in.
-  EnsureGlobalTimeSorted();
-  for (const auto& [ts, rid] : by_time_) {
-    by_subject_[subject_col_[rid]].push_back(rid);
-    by_agent_[agent_col_[rid]].push_back(rid);
-  }
-}
-
-void ProvenanceGraph::EnsureTimeIndexLoaded() const {
-  if (time_ready_) return;
-  EnsureColumns();
-  time_ready_ = true;
-  by_time_.reserve(base_rows_);
-  for (uint32_t rid = 0; rid < base_rows_; ++rid) IndexTime(rid);
-}
-
-void ProvenanceGraph::IndexUsage(uint32_t rid) const {
-  for (uint32_t in : Inputs(rid)) used_by_[in].push_back(rid);
-  for (uint32_t out : Outputs(rid)) generated_by_[out].push_back(rid);
-}
-
-size_t ProvenanceGraph::IndexDerivations(uint32_t rid) const {
-  size_t added = 0;
-  const IdSpan inputs = Inputs(rid);
-  for (uint32_t out : Outputs(rid)) {
-    for (uint32_t in : inputs) {
-      if (in == out) continue;
-      if (InsertSortedUnique(&derived_from_[out], in)) ++added;
-      InsertSortedUnique(&derivations_[in], out);
-    }
-  }
-  return added;
-}
-
-void ProvenanceGraph::IndexTime(uint32_t rid) const {
-  // Same append-and-mark-dirty scheme as the postings.
-  std::pair<Timestamp, uint32_t> entry{ts_[rid], rid};
-  if (!by_time_.empty() && by_time_.back() > entry) time_dirty_ = 1;
-  by_time_.push_back(entry);
 }
 
 void ProvenanceGraph::EnsureBuilder() const {
@@ -857,16 +922,17 @@ void ProvenanceGraph::EncodeRows(uint32_t from, uint32_t to) const {
   Encoder scratch;
   for (uint32_t rid = from; rid < to; ++rid) {
     // Builder rows start past the base, so they are in-memory records.
+    const size_t row = rid - base_rows_;
     group.records.offsets.push_back(
         static_cast<uint32_t>(group.records.bytes.size()));
     scratch.Clear();
-    records_[rid - base_rows_].EncodeTo(&scratch);
+    records_[row].EncodeTo(&scratch);
     group.records.bytes.insert(group.records.bytes.end(),
                                scratch.buffer().begin(),
                                scratch.buffer().end());
-    group.subject.push_back(subject_col_[rid]);
-    group.agent.push_back(agent_col_[rid]);
-    group.timestamp.push_back(ts_[rid]);
+    group.subject.push_back(subject_col_[row]);
+    group.agent.push_back(agent_col_[row]);
+    group.timestamp.push_back(ts_[row]);
     for (uint32_t in : Inputs(rid)) {
       group.inputs.push_back(in);
       entity_end = std::max(entity_end, in + 1);
@@ -877,8 +943,8 @@ void ProvenanceGraph::EncodeRows(uint32_t from, uint32_t to) const {
       entity_end = std::max(entity_end, out + 1);
     }
     group.output_end.push_back(static_cast<uint32_t>(group.outputs.size()));
-    entity_end = std::max(entity_end, subject_col_[rid] + 1);
-    agent_end = std::max(agent_end, agent_col_[rid] + 1);
+    entity_end = std::max(entity_end, subject_col_[row] + 1);
+    agent_end = std::max(agent_end, agent_col_[row] + 1);
   }
   // Ids are handed out in first-seen order, so the names these rows
   // interned first are exactly the ids past the group's current end.
@@ -932,30 +998,18 @@ void ProvenanceGraph::Open(const GraphImage& image) {
   *this = ProvenanceGraph();
   base_ = image.groups;
   base_rows_ = image.record_count();
-  std::vector<std::shared_ptr<const EntryColumn>> records, entities, agents;
-  for (const auto& group : base_) {
-    // Aliasing pointers: each column pins its group.
-    records.emplace_back(group, &group->records);
-    entities.emplace_back(group, &group->entity_names);
-    agents.emplace_back(group, &group->agent_names);
-  }
-  record_ids_.Open(std::move(records));
-  entities_.Open(std::move(entities));
-  agents_.Open(std::move(agents));
+  record_ids_.Open(base_, &RowGroup::records, &GroupIndex::record_ids);
+  entities_.Open(base_, &RowGroup::entity_names, &GroupIndex::entity_names);
+  agents_.Open(base_, &RowGroup::agent_names, &GroupIndex::agent_names);
   invalidations_ = image.invalidations;
   edge_count_ = static_cast<size_t>(image.edge_count);
   subject_count_ = static_cast<size_t>(image.subject_count);
-  const bool empty = base_.empty();
-  columns_ready_ = usage_ready_ = derivations_ready_ = empty;
-  postings_ready_ = time_ready_ = builder_ready_ = empty;
+  builder_ready_ = base_.empty();
 }
 
 void ProvenanceGraph::Warm() {
-  // Rebuild every derived structure.
-  EnsureUsageLoaded();
-  EnsureDerivationsLoaded();
-  EnsurePostingsLoaded();
-  EnsureTimeIndexLoaded();
+  // Every base group's index (shared; built at most once per group).
+  for (const auto& group : base_) group->index();
 
   // Pay every pending sort now so no const query path re-sorts later.
   for (size_t eid = 0; eid < by_subject_.size(); ++eid) {
@@ -964,15 +1018,10 @@ void ProvenanceGraph::Warm() {
   for (size_t aid = 0; aid < by_agent_.size(); ++aid) {
     EnsureTimeSorted(&by_agent_[aid], &agent_dirty_[aid]);
   }
-  EnsureGlobalTimeSorted();
+  EnsureTimeSorted(&by_time_, &time_dirty_);
 
   // Decode every row-group record so RecordAt becomes a pure lookup.
   for (uint32_t rid = 0; rid < base_rows_; ++rid) RecordAt(rid);
-
-  // Intern tables: lookup indexes.
-  record_ids_.Warm();
-  entities_.Warm();
-  agents_.Warm();
 }
 
 std::vector<std::string> ProvenanceGraph::ReexecutionSet(

@@ -11,20 +11,27 @@
 //     (the Figure 4 lifecycle's "invalidate + selective re-execution").
 //
 // Engine layout (dense-id rewrite): every entity, agent, and record id is
-// interned to a contiguous uint32_t on ingest (see prov/intern.h). All
-// adjacency is stored as per-id vectors of ids — derivation edges as
-// sorted, deduplicated vectors (CSR-style), subject/agent postings lists
-// insertion-sorted by timestamp so history queries need no per-call sort,
-// plus a global (timestamp, record) index that makes InRange O(log n + k).
-// Traversals (Lineage / Descendants / Invalidate / ReexecutionSet) run BFS
-// over integer adjacency with bitset visited-sets; strings are only touched
-// when materializing results. The public API is unchanged and string-based.
+// interned to a contiguous uint32_t on ingest (see prov/intern.h). Rows
+// come from two places. Rows of the image a graph was opened from (its
+// base) stay in their shared row groups, and every index over them —
+// postings, usage and derivation lists, time order, name tables — is the
+// group's own immutable GroupIndex (prov/row_group.h), built once per
+// group and shared by every graph that reads it. Rows added in memory keep
+// per-id vectors of ids: derivation edges as sorted, deduplicated vectors
+// (CSR-style), subject/agent postings and a global time list kept in
+// (timestamp, row) order with a lazy re-sort. A query reads one slice per
+// group plus the in-memory list and merges them by (timestamp, row);
+// traversals (Lineage / Descendants / Invalidate / ReexecutionSet) run BFS
+// over integer adjacency with bitset visited-sets; strings are only
+// touched when materializing results. The public API is unchanged and
+// string-based.
 
 #ifndef PROVLEDGER_PROV_GRAPH_H_
 #define PROVLEDGER_PROV_GRAPH_H_
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -53,15 +60,16 @@ enum class RelationKind : uint8_t {
 ///
 /// Thread safety: NOT internally synchronized — one thread (or external
 /// locking) must own all access to a *live* graph. Const query methods may
-/// lazily rebuild indexes, decode records and re-sort internal time indexes
-/// (mutable state), so even concurrent read-only use of an arbitrary graph
-/// requires external synchronization. The exception that makes concurrent
-/// reads possible: after Warm() — and with no mutation afterwards — every
-/// const method is a pure read, so any number of threads may query the
-/// same instance concurrently. The snapshot-isolation machinery
-/// (prov/snapshot.h) builds on exactly that contract; alternatively each
-/// reader thread opens its own cheap graph over a shared immutable
-/// GraphImage and skips Warm() entirely.
+/// decode records and re-sort the in-memory time lists (mutable state), so
+/// even concurrent read-only use of an arbitrary graph requires external
+/// synchronization. The exception that makes concurrent reads possible:
+/// after Warm() — and with no mutation afterwards — every const method is
+/// a pure read, so any number of threads may query the same instance
+/// concurrently. The snapshot-isolation machinery (prov/snapshot.h) builds
+/// on exactly that contract; alternatively each reader thread opens its own
+/// cheap graph over a shared immutable GraphImage and skips Warm()
+/// entirely. Row-group indexes are shared between graphs and safe to build
+/// from any thread.
 class ProvenanceGraph {
  public:
   /// Ingest a (validated) record, creating entity/activity/agent nodes and
@@ -134,10 +142,11 @@ class ProvenanceGraph {
   /// @}
 
   /// \name Planner cardinality accessors.
-  /// All O(1) except InRangeCount (O(log n), and it may pay the deferred
-  /// time-index sort). These are what the query planner reads to estimate
-  /// selectivity; exposed for tests, benchmarks, and future sharded
-  /// planning.
+  /// One index lookup per base group plus O(1) for the rows added in
+  /// memory; InRangeCount is O(log n) per group and may pay the deferred
+  /// in-memory time sort. These are what the query planner reads to
+  /// estimate selectivity; exposed for tests, benchmarks, and future
+  /// sharded planning.
   /// @{
   /// Distinct agents seen so far.
   size_t agent_count() const { return agents_.size(); }
@@ -177,46 +186,38 @@ class ProvenanceGraph {
   /// Besides its in-memory indexes, the graph keeps its rows as
   /// append-only row groups (prov/row_group.h). Image() brings them up to
   /// date and hands out an immutable GraphImage; Open() turns an image
-  /// back into a queryable graph in O(groups), deferring everything else
-  /// to first touch: each record decodes when first materialized, the
-  /// per-row columns and each derived index (postings, usage adjacency,
-  /// derivations, the global time index) rebuild from the groups' columns
-  /// on the first query path that needs them, and the intern tables index
-  /// their names on the first lookup.
+  /// back into a queryable graph in O(groups). The opened graph never
+  /// copies a base-row index into private memory: its rows are read from
+  /// the groups' columns, and each group's index (postings, usage and
+  /// derivation lists, time order, name tables) is built once, on the
+  /// first query that needs that group, and shared with every other graph
+  /// over the same group. Records decode when first materialized.
   /// @{
   /// Image of the graph as of now: encodes the rows added since the last
   /// call into the open row group (sealing it, and opening the next, at
   /// kRowGroupRows rows), then returns the sealed groups — shared, never
   /// copied — plus a copy of the open group and the per-epoch header.
-  /// O(new rows + one group). `bytes_written` (optional) receives the
-  /// bytes encoded or copied. Writer thread only (the group builder is
-  /// mutable state).
+  /// O(new rows + one group); builds no group index. `bytes_written`
+  /// (optional) receives the bytes encoded or copied. Writer thread only
+  /// (the group builder is mutable state).
   GraphImage Image(size_t* bytes_written = nullptr) const;
   /// Replace the whole graph by a view of `image`. O(groups): no record is
-  /// decoded and no per-record allocation happens here.
+  /// decoded, no index is built and no per-record allocation happens here.
+  /// Later AddRecord calls index only the rows they add.
   void Open(const GraphImage& image);
   /// @}
 
   /// \brief Force every deferred structure into its fully-materialized,
-  /// canonically-sorted form: rebuild every derived index, decode every
-  /// row-group record, index the intern tables, and pay every pending
-  /// postings/time-index sort. Afterwards — until the next mutation —
-  /// every const method on this graph is a pure read, safe to call from
-  /// any number of threads concurrently, and parallel query execution
-  /// (Query::Parallel) becomes eligible. Idempotent; a no-op on a graph
-  /// that was never opened from an image and has no pending sorts.
+  /// canonically-sorted form: build every base group's index, decode every
+  /// row-group record, and pay every pending sort of the in-memory lists.
+  /// Afterwards — until the next mutation — every const method on this
+  /// graph is a pure read, safe to call from any number of threads
+  /// concurrently, and parallel query execution (Query::Parallel) becomes
+  /// eligible. Idempotent; a no-op on a graph that was never opened from an
+  /// image and has no pending sorts.
   void Warm();
 
  private:
-  /// A row's input or output entity ids (a slice of a flat id column).
-  struct IdSpan {
-    const uint32_t* first;
-    const uint32_t* last;
-    const uint32_t* begin() const { return first; }
-    const uint32_t* end() const { return last; }
-    size_t size() const { return static_cast<size_t>(last - first); }
-  };
-
   /// Word-granular visited bitset sized for `n` ids.
   class Bitset {
    public:
@@ -234,32 +235,61 @@ class ProvenanceGraph {
     std::vector<uint64_t> words_;
   };
 
-  /// A planned candidate scan: a slice of a time-sorted rid postings list
-  /// (`list`), of the plan's own sorted `owned` buffer (`use_owned`; the
-  /// plan is returned by value, so it must not point into itself), or of
-  /// the global by_time_ index (neither set). [lo, hi) bounds the slice;
-  /// `covers_filters` means every query predicate is already guaranteed by
-  /// the index + slice, so count-only queries need no scan.
+  /// A planned candidate scan: slices of rid lists, each in (timestamp,
+  /// rid) order — one per base group plus one over the in-memory rows —
+  /// that together form the candidate list. Input/output plans own their
+  /// one sorted, deduplicated list (`owned`). `covers_filters` means every
+  /// query predicate is already guaranteed by the index + slices, so
+  /// count-only queries need no scan. Plans point into themselves, so a
+  /// plan is filled in place and never copied.
   struct QueryPlan {
     QueryIndex index = QueryIndex::kFullScan;
-    const std::vector<uint32_t>* list = nullptr;
-    bool use_owned = false;
-    size_t lo = 0;
-    size_t hi = 0;
+    std::vector<IdSpan> slices;
     std::vector<uint32_t> owned;
+    size_t total = 0;
     bool covers_filters = false;
     /// The winning index's candidate estimate when it won the selectivity
     /// contest (before time-window narrowing) — what Explain reports
     /// against the actual scan size.
     size_t estimate = 0;
 
-    size_t size() const { return hi - lo; }
+    size_t size() const { return total; }
+    void Add(IdSpan slice) {
+      if (slice.empty()) return;
+      slices.push_back(slice);
+      total += slice.size();
+    }
+  };
+
+  /// Walks a plan's slices as one list in (timestamp, rid) order,
+  /// ascending or descending, by a k-way merge over the slice heads.
+  class PlanCursor {
+   public:
+    PlanCursor(const ProvenanceGraph& graph, const QueryPlan& plan,
+               bool descending);
+    /// The next rid in order; false once every slice is exhausted.
+    bool Next(uint32_t* rid);
+    /// Step over the next `n` rids (slice arithmetic for one slice).
+    void Skip(size_t n);
+
+   private:
+    struct Head {
+      Timestamp ts;
+      uint32_t rid;
+      const uint32_t* next;  // the rid after the head, in walk order
+      const uint32_t* stop;
+    };
+    void Load(Head* head) const;
+
+    const ProvenanceGraph& graph_;
+    bool descending_;
+    std::vector<Head> heads_;
   };
 
   /// Pick the most selective index for `query` (estimates = candidate
-  /// counts from the cardinality accessors). A filter naming an unknown
-  /// subject/agent/entity yields an empty plan.
-  QueryPlan PlanQuery(const Query& query) const;
+  /// counts from the cardinality accessors) and fill `plan`. A filter
+  /// naming an unknown subject/agent/entity yields an empty plan.
+  void PlanQuery(const Query& query, QueryPlan* plan) const;
   /// True when Run should fan the candidate scan out across the shared
   /// thread pool: the query asks for it, the planner's candidate estimate
   /// says the scan is big enough to amortize the thread handoff, the plan
@@ -268,27 +298,41 @@ class ProvenanceGraph {
   /// of row-group records).
   bool ShouldFanOut(const Query& query, const QueryPlan& plan) const;
   /// Parallel candidate scan: rids of plan positions whose record passes
-  /// every predicate, in ascending plan (time) order. Only called when
+  /// every predicate, in ascending (timestamp, rid) order. Only called when
   /// ShouldFanOut — all state it touches is read-only by then.
   std::vector<uint32_t> ParallelMatch(const Query& query,
                                       const QueryPlan& plan) const;
-  /// Narrow a time-sorted rid list to the query's [from, to] window.
-  void NarrowByTime(const Query& query, const std::vector<uint32_t>& list,
-                    size_t* lo, size_t* hi) const;
-  /// Record id at plan position `idx` (ascending time order).
-  uint32_t PlanRidAt(const QueryPlan& plan, size_t idx) const {
-    if (plan.use_owned) return plan.owned[plan.lo + idx];
-    return plan.list != nullptr ? (*plan.list)[plan.lo + idx]
-                                : by_time_[plan.lo + idx].second;
-  }
-  /// Sort-on-demand for the global (timestamp, record) index.
-  void EnsureGlobalTimeSorted() const;
-  /// [lo, hi) slice of by_time_ covering the inclusive [from, to] window
-  /// (open bounds when unset). Shared by the planner and InRangeCount so
-  /// the boundary/sentinel logic lives once.
-  std::pair<size_t, size_t> TimeIndexSlice(std::optional<Timestamp> from,
-                                           std::optional<Timestamp> to) const;
+  /// Narrow a (timestamp, rid)-ordered rid list to the query's window.
+  IdSpan NarrowByTime(std::optional<Timestamp> from,
+                      std::optional<Timestamp> to, IdSpan list) const;
+  /// Every row with a timestamp in the window, as one slice per group
+  /// (groups whose time bounds miss the window are skipped) plus the
+  /// in-memory slice; empty slices are left out.
+  void TimeSlices(std::optional<Timestamp> from, std::optional<Timestamp> to,
+                  std::vector<IdSpan>* out) const;
 
+  /// \name Row access: base rows read their group, rows added in memory
+  /// the in-memory columns.
+  /// @{
+  const RowGroup& GroupOf(uint32_t rid) const {
+    return *base_[rid / kRowGroupRows];
+  }
+  Timestamp TimeOf(uint32_t rid) const {
+    return rid < base_rows_ ? GroupOf(rid).timestamp[rid % kRowGroupRows]
+                            : ts_[rid - base_rows_];
+  }
+  IdSpan Inputs(uint32_t rid) const {
+    if (rid < base_rows_) return GroupOf(rid).inputs_of(rid % kRowGroupRows);
+    const size_t row = rid - base_rows_;
+    return {in_ids_.data() + (row == 0 ? 0 : in_end_[row - 1]),
+            in_ids_.data() + in_end_[row]};
+  }
+  IdSpan Outputs(uint32_t rid) const {
+    if (rid < base_rows_) return GroupOf(rid).outputs_of(rid % kRowGroupRows);
+    const size_t row = rid - base_rows_;
+    return {out_ids_.data() + (row == 0 ? 0 : out_end_[row - 1]),
+            out_ids_.data() + out_end_[row]};
+  }
   /// The record for `rid`: rows of an opened image decode from their row
   /// group on first access, rows added in memory are plain reads.
   const ProvenanceRecord& RecordAt(uint32_t rid) const {
@@ -303,39 +347,29 @@ class ProvenanceGraph {
   bool IsInvalid(uint32_t rid) const {
     return invalidations_ != nullptr && invalidations_->count(rid) > 0;
   }
-  IdSpan Inputs(uint32_t rid) const {
-    return {in_ids_.data() + (rid == 0 ? 0 : in_end_[rid - 1]),
-            in_ids_.data() + in_end_[rid]};
-  }
-  IdSpan Outputs(uint32_t rid) const {
-    return {out_ids_.data() + (rid == 0 ? 0 : out_end_[rid - 1]),
-            out_ids_.data() + out_end_[rid]};
-  }
-
-  /// \name First-touch rebuilds for a graph opened from an image.
-  /// Each Ensure* is a no-op once its structure exists. Usage,
-  /// derivations and the time index replay the matching Index* step below
-  /// over every row; the postings distribute the sorted time index.
-  /// @{
-  /// Per-row columns (subject, agent, timestamp, inputs, outputs).
-  void EnsureColumns() const;
-  /// generated_by_ + used_by_ (usage adjacency).
-  void EnsureUsageLoaded() const;
-  /// derived_from_ + derivations_ (entity derivation DAG).
-  void EnsureDerivationsLoaded() const;
-  /// by_subject_ + by_agent_ time-ordered postings (distributed from the
-  /// sorted time index, so every list starts sorted).
-  void EnsurePostingsLoaded() const;
-  /// The global (timestamp, record) index.
-  void EnsureTimeIndexLoaded() const;
   /// @}
 
-  /// \name Per-row index maintenance, shared by AddRecord and the rebuilds.
+  /// \name Per-id lookups over base groups and in-memory rows.
   /// @{
-  void IndexUsage(uint32_t rid) const;
-  /// Returns the derivation pairs that were new.
-  size_t IndexDerivations(uint32_t rid) const;
-  void IndexTime(uint32_t rid) const;
+  /// Append `key`'s non-empty list in `lists` of every base group that may
+  /// hold it (`agent_key`: an agent id, else an entity id), oldest group
+  /// first.
+  void BaseLists(IdLists GroupIndex::*lists, uint32_t key, bool agent_key,
+                 std::vector<IdSpan>* out) const;
+  /// `key`'s in-memory postings in `lists`, sorted first; empty if none.
+  IdSpan MemoryPostings(std::vector<std::vector<uint32_t>>* lists,
+                        std::vector<uint8_t>* dirty, uint32_t key) const;
+  /// Whether the base rows already hold `eid` as a subject, or the
+  /// derivation pair (out <- in).
+  bool BaseHasSubject(uint32_t eid) const;
+  bool BaseHasDerivation(uint32_t out, uint32_t in) const;
+  /// @}
+
+  /// \name Per-row index maintenance for rows added in memory.
+  /// @{
+  void IndexUsage(uint32_t rid);
+  /// Returns the derivation pairs that were new to the whole graph.
+  size_t IndexDerivations(uint32_t rid);
   /// @}
 
   /// \name Row-group builder (Image()).
@@ -349,24 +383,26 @@ class ProvenanceGraph {
 
   uint32_t InternEntity(std::string_view entity);
   /// Direct downstream consumers of `rid`'s outputs, appended to `out`
-  /// (deduplicated via `seen`).
-  void AppendDownstream(uint32_t rid, Bitset* seen,
+  /// (deduplicated via `seen`) in ingest order; `lists` is scratch.
+  void AppendDownstream(uint32_t rid, Bitset* seen, std::vector<IdSpan>* lists,
                         std::vector<uint32_t>* out) const;
   /// BFS closure of records downstream of `rid` (excluding `rid`), in
   /// cascade order — shared by Invalidate and ReexecutionSet so their
   /// orders always agree.
   std::vector<uint32_t> DownstreamClosure(uint32_t rid) const;
-  std::vector<std::string> EntityClosure(
-      const std::vector<std::vector<uint32_t>>& adjacency,
-      const std::string& start) const;
-  /// Append `rid` to a postings list kept in (timestamp, ingest) order;
-  /// an out-of-order timestamp just flags the list dirty so ingest stays
-  /// O(1) and the sort is paid once, on the next query of that list.
-  void AppendByTime(std::vector<uint32_t>* postings, uint32_t rid,
+  /// BFS over derivations (`ancestors`: derived_from, else derivations),
+  /// visiting each entity's neighbours in ascending id.
+  std::vector<std::string> EntityClosure(bool ancestors,
+                                         const std::string& start) const;
+  /// Append `rid` to an in-memory list kept in (timestamp, rid) order; an
+  /// out-of-order timestamp just flags the list dirty so ingest stays O(1)
+  /// and the sort is paid once, on the next query of that list.
+  void AppendByTime(std::vector<uint32_t>* list, uint32_t rid,
                     uint8_t* dirty);
   /// Sort-on-demand counterpart of AppendByTime.
-  void EnsureTimeSorted(std::vector<uint32_t>* postings,
-                        uint8_t* dirty) const;
+  void EnsureTimeSorted(std::vector<uint32_t>* list, uint8_t* dirty) const;
+  /// Sort rids into (timestamp, rid) order.
+  void SortByTime(std::vector<uint32_t>* list) const;
 
   InternTable record_ids_;
   InternTable entities_;
@@ -388,37 +424,30 @@ class ProvenanceGraph {
   /// Rows added in memory, by rid - base_rows_.
   std::vector<ProvenanceRecord> records_;
 
-  // Per-row columns over every row, the in-memory mirror of the row-group
-  // columns: traversals and time narrowing never touch strings. An opened
-  // graph fills them from base_ on first touch, hence mutable.
-  mutable std::vector<uint32_t> subject_col_;
-  mutable std::vector<uint32_t> agent_col_;
-  mutable std::vector<Timestamp> ts_;
-  mutable std::vector<uint32_t> in_end_, in_ids_;
-  mutable std::vector<uint32_t> out_end_, out_ids_;
-  mutable bool columns_ready_ = true;
+  // Per-row columns of the rows added in memory, by rid - base_rows_:
+  // traversals and time narrowing never touch strings.
+  std::vector<uint32_t> subject_col_;
+  std::vector<uint32_t> agent_col_;
+  std::vector<Timestamp> ts_;
+  std::vector<uint32_t> in_end_, in_ids_;
+  std::vector<uint32_t> out_end_, out_ids_;
 
-  // Per-entity adjacency, indexed by entity id; rebuilt on first touch
-  // after Open(), hence mutable.
-  mutable std::vector<std::vector<uint32_t>> generated_by_;  // record ids
-  mutable std::vector<std::vector<uint32_t>> used_by_;       // record ids
-  mutable std::vector<std::vector<uint32_t>> derived_from_;  // entity ids, sorted
-  mutable std::vector<std::vector<uint32_t>> derivations_;   // entity ids, sorted
-  mutable bool usage_ready_ = true;
-  mutable bool derivations_ready_ = true;
+  // Per-entity adjacency of the rows added in memory, indexed by entity id
+  // (sized by AddRecord only; a reader never allocates them).
+  std::vector<std::vector<uint32_t>> generated_by_;  // record ids
+  std::vector<std::vector<uint32_t>> used_by_;       // record ids
+  std::vector<std::vector<uint32_t>> derived_from_;  // entity ids, sorted
+  std::vector<std::vector<uint32_t>> derivations_;   // entity ids, sorted
 
-  // Time-ordered postings (subject / agent / global). Lists touched by an
-  // out-of-order ingest carry a dirty flag and are re-sorted lazily on
-  // query, hence mutable.
+  // Time-ordered lists of the rows added in memory (subject / agent /
+  // global). Lists touched by an out-of-order ingest carry a dirty flag
+  // and are re-sorted lazily on query, hence mutable.
   mutable std::vector<std::vector<uint32_t>> by_subject_;
   mutable std::vector<uint8_t> subject_dirty_;
   mutable std::vector<std::vector<uint32_t>> by_agent_;
   mutable std::vector<uint8_t> agent_dirty_;
-  mutable bool postings_ready_ = true;
-  // Global (timestamp, record id) index, sorted.
-  mutable std::vector<std::pair<Timestamp, uint32_t>> by_time_;
+  mutable std::vector<uint32_t> by_time_;
   mutable uint8_t time_dirty_ = 0;
-  mutable bool time_ready_ = true;
 
   /// Immutable and shared with published images; Invalidate() swaps in a
   /// new map. nullptr = nothing invalidated.

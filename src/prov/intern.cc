@@ -1,57 +1,54 @@
 #include "prov/intern.h"
 
+#include <algorithm>
+
 namespace provledger {
 namespace prov {
 
-InternTable::InternTable(const InternTable& other)
-    : columns_(other.columns_),
-      base_count_(other.base_count_),
-      owned_(other.owned_),
-      index_ready_(false) {}
-
-InternTable& InternTable::operator=(const InternTable& other) {
-  if (this != &other) *this = InternTable(other);
-  return *this;
-}
-
 uint32_t InternTable::Intern(std::string_view s) {
-  EnsureIndex();
-  auto it = ids_.find(s);
-  if (it != ids_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(size());
+  const uint64_t hash = NameHash(s);
+  const uint32_t found = Find(s, hash);
+  if (found != kNone) return found;
   owned_.emplace_back(s);
-  views_.push_back(owned_.back());
-  ids_.emplace(views_.back(), id);
-  return id;
+  const auto local = static_cast<uint32_t>(owned_.size() - 1);
+  owned_index_.Insert(local, hash, [this](uint32_t i) {
+    return std::string_view(owned_[i]);
+  });
+  return static_cast<uint32_t>(base_count_) + local;
 }
 
-uint32_t InternTable::Find(std::string_view s) const {
-  EnsureIndex();
-  auto it = ids_.find(s);
-  return it == ids_.end() ? kNone : it->second;
-}
-
-void InternTable::Open(std::vector<std::shared_ptr<const EntryColumn>> columns) {
-  *this = InternTable();
-  columns_ = std::move(columns);
-  for (const auto& column : columns_) base_count_ += column->size();
-  index_ready_ = base_count_ == 0;
-}
-
-void InternTable::EnsureIndex() const {
-  if (index_ready_) return;
-  views_.clear();
-  views_.reserve(size());
-  for (const auto& column : columns_) {
-    for (size_t i = 0; i < column->size(); ++i) {
-      views_.push_back(column->name(i));
-    }
+uint32_t InternTable::Find(std::string_view s, uint64_t hash) const {
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    const EntryColumn& column = (*groups_[g]).*column_;
+    const uint32_t i = (groups_[g]->index().*table_).Find(
+        s, hash, [&column](uint32_t entry) { return column.name(entry); });
+    if (i != kNone) return bases_[g] + i;
   }
-  for (const std::string& name : owned_) views_.push_back(name);
-  ids_.clear();
-  ids_.reserve(views_.size());
-  for (uint32_t id = 0; id < views_.size(); ++id) ids_.emplace(views_[id], id);
-  index_ready_ = true;
+  const uint32_t i = owned_index_.Find(s, hash, [this](uint32_t entry) {
+    return std::string_view(owned_[entry]);
+  });
+  return i == kNone ? kNone : static_cast<uint32_t>(base_count_) + i;
+}
+
+std::string_view InternTable::Name(uint32_t id) const {
+  if (id >= base_count_) return owned_[id - base_count_];
+  const size_t g = static_cast<size_t>(
+      std::upper_bound(bases_.begin(), bases_.end(), id) - bases_.begin() - 1);
+  return ((*groups_[g]).*column_).name(id - bases_[g]);
+}
+
+void InternTable::Open(std::vector<std::shared_ptr<const RowGroup>> groups,
+                       EntryColumn RowGroup::*column,
+                       NameTable GroupIndex::*table) {
+  *this = InternTable();
+  groups_ = std::move(groups);
+  column_ = column;
+  table_ = table;
+  bases_.reserve(groups_.size());
+  for (const auto& group : groups_) {
+    bases_.push_back(static_cast<uint32_t>(base_count_));
+    base_count_ += ((*group).*column).size();
+  }
 }
 
 }  // namespace prov

@@ -10,13 +10,16 @@
 // them directly usable as vector indexes (CSR-style adjacency) and bitset
 // positions.
 //
-// A table opened over row-group name columns (prov/row_group.h) copies no
-// string: names stay in the shared group buffers, and the lookup index of
-// string views into them builds on the first lookup.
+// A table opened over row groups (prov/row_group.h) copies no string and
+// builds no index of its own: base names stay in the shared group buffers
+// and resolve through each group's shared name table (GroupIndex), probed
+// oldest group first, so a name that repeats across groups resolves to its
+// lowest id. Names interned in memory go into one private flat NameTable
+// of the same kind.
 //
-// Thread safety: NOT internally synchronized. Intern() mutates; const
-// lookups build the lazy index on first use. After Warm() — and with no
-// further Intern() — const reads are safe from many threads.
+// Thread safety: NOT internally synchronized. Intern() mutates; the const
+// methods are pure reads (a group's name table builds under std::call_once),
+// so with no concurrent Intern() they are safe from many threads.
 
 #ifndef PROVLEDGER_PROV_INTERN_H_
 #define PROVLEDGER_PROV_INTERN_H_
@@ -26,7 +29,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "prov/row_group.h"
@@ -38,55 +40,42 @@ namespace prov {
 class InternTable {
  public:
   /// Sentinel returned by Find() for unknown strings.
-  static constexpr uint32_t kNone = 0xFFFFFFFFu;
-
-  InternTable() = default;
-  /// Copies re-point their index at their own names (the index holds views).
-  InternTable(const InternTable& other);
-  InternTable& operator=(const InternTable& other);
-  InternTable(InternTable&&) = default;
-  InternTable& operator=(InternTable&&) = default;
+  static constexpr uint32_t kNone = NameTable::kNone;
 
   /// Id for `s`, interning it if new. Ids are dense: the first distinct
   /// string gets 0, the next 1, and so on.
   uint32_t Intern(std::string_view s);
 
   /// Id for `s`, or kNone if it was never interned.
-  uint32_t Find(std::string_view s) const;
+  uint32_t Find(std::string_view s) const { return Find(s, NameHash(s)); }
 
   /// The string for a previously returned id; valid while the table lives.
-  std::string_view Name(uint32_t id) const {
-    EnsureIndex();
-    return views_[id];
-  }
+  std::string_view Name(uint32_t id) const;
 
   /// Number of distinct strings interned.
   size_t size() const { return base_count_ + owned_.size(); }
 
-  /// \brief Build the lazy lookup index now. After Warm() — and with no
-  /// Intern() calls afterwards — every const method is a pure read and
-  /// safe to call from many threads concurrently.
-  void Warm() const { EnsureIndex(); }
-
-  /// \brief Replace the table by the names of `columns`, concatenated in
-  /// order (ids follow the entries). Each column is an immutable name (or
-  /// record) column of a shared row group, which the table pins; O(number
-  /// of columns).
-  void Open(std::vector<std::shared_ptr<const EntryColumn>> columns);
+  /// \brief Replace the table by the names in `column` of `groups`,
+  /// concatenated in order (ids follow the entries), looked up through
+  /// each group index's `table` over that column. The record column's
+  /// names are the leading strings of its entries, the record ids. The
+  /// table pins the groups; O(number of groups).
+  void Open(std::vector<std::shared_ptr<const RowGroup>> groups,
+            EntryColumn RowGroup::*column, NameTable GroupIndex::*table);
 
  private:
-  /// Build views_ + ids_ over the base columns and owned names.
-  void EnsureIndex() const;
+  uint32_t Find(std::string_view s, uint64_t hash) const;
 
-  /// Base names (ids [0, base_count_)), from Open().
-  std::vector<std::shared_ptr<const EntryColumn>> columns_;
+  /// Base names (ids [0, base_count_)): group g's entries start at id
+  /// bases_[g].
+  std::vector<std::shared_ptr<const RowGroup>> groups_;
+  std::vector<uint32_t> bases_;
+  EntryColumn RowGroup::*column_ = &RowGroup::entity_names;
+  NameTable GroupIndex::*table_ = &GroupIndex::entity_names;
   size_t base_count_ = 0;
-  /// Names interned in memory (ids from base_count_); a deque so the views
-  /// into its strings survive growth.
+  /// Names interned in memory (ids from base_count_) and their table.
   std::deque<std::string> owned_;
-  mutable std::vector<std::string_view> views_;
-  mutable std::unordered_map<std::string_view, uint32_t> ids_;
-  mutable bool index_ready_ = true;
+  NameTable owned_index_;
 };
 
 }  // namespace prov

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
+
+#include "obs/metrics.h"
 
 namespace provledger {
 namespace prov {
@@ -95,6 +98,182 @@ void EntryColumn::AppendName(std::string_view name) {
   bytes.insert(bytes.end(), prefix, prefix + 4);
   bytes.insert(bytes.end(), name.begin(), name.end());
 }
+
+IdSpan IdLists::Find(uint32_t key) const {
+  // Most keys of a group were first seen near it (a lineage walk asks
+  // every newer group), so the range check settles most misses.
+  if (keys.empty() || key < keys.front() || key > keys.back()) return {};
+  auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  if (it == keys.end() || *it != key) return {};
+  const size_t k = static_cast<size_t>(it - keys.begin());
+  return {values.data() + offsets[k], values.data() + offsets[k + 1]};
+}
+
+namespace {
+
+// The process-wide index-build counter lives on the default metric
+// registry.
+obs::Counter* IndexBuildsCell() {
+  static obs::Counter* cell = obs::Registry::Default()->GetCounter(
+      "graph_group_index_builds_total",
+      "Process-wide row-group index builds (one per group, on first use)");
+  return cell;
+}
+
+/// Positions 0..n-1 in ascending order of key_of(i), a key in [0, span]
+/// (ties keep position order): an LSD radix sort in 11-bit digits, so
+/// O(n) per digit and as many digits as the keys' range needs.
+template <typename KeyOf>
+std::vector<uint32_t> StableOrder(size_t n, uint64_t span, KeyOf key_of) {
+  constexpr int kDigitBits = 11;
+  constexpr size_t kBuckets = size_t{1} << kDigitBits;
+  std::vector<uint32_t> order(n), next(n);
+  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+  for (int shift = 0; shift == 0 || (shift < 64 && (span >> shift) != 0);
+       shift += kDigitBits) {
+    auto digit = [&](uint32_t i) {
+      return static_cast<size_t>(key_of(i) >> shift) & (kBuckets - 1);
+    };
+    uint32_t start[kBuckets + 1] = {};
+    for (uint32_t i : order) ++start[digit(i) + 1];
+    for (size_t b = 1; b <= kBuckets; ++b) start[b] += start[b - 1];
+    for (uint32_t i : order) next[start[digit(i)]++] = i;
+    order.swap(next);
+  }
+  return order;
+}
+
+/// Lists from parallel `keys` and `values`: each key's values keep their
+/// order in the input.
+IdLists GroupByKey(const std::vector<uint32_t>& keys,
+                   const std::vector<uint32_t>& values) {
+  IdLists lists;
+  const size_t n = keys.size();
+  if (n > 0) {
+    const auto [min_it, max_it] = std::minmax_element(keys.begin(), keys.end());
+    const uint32_t lo = *min_it;
+    const std::vector<uint32_t> order = StableOrder(
+        n, *max_it - lo, [&](uint32_t i) { return uint64_t{keys[i] - lo}; });
+    lists.values.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t key = keys[order[i]];
+      if (lists.keys.empty() || lists.keys.back() != key) {
+        lists.keys.push_back(key);
+        lists.offsets.push_back(static_cast<uint32_t>(i));
+      }
+      lists.values[i] = values[order[i]];
+    }
+  }
+  lists.offsets.push_back(static_cast<uint32_t>(n));
+  return lists;
+}
+
+/// GroupByKey, then each key's values sorted and deduplicated.
+IdLists GroupDistinct(const std::vector<uint32_t>& keys,
+                      const std::vector<uint32_t>& values) {
+  IdLists lists = GroupByKey(keys, values);
+  uint32_t out = 0;
+  for (size_t k = 0; k < lists.keys.size(); ++k) {
+    auto first = lists.values.begin() + lists.offsets[k];
+    auto last = lists.values.begin() + lists.offsets[k + 1];
+    if (last - first > 1) {
+      std::sort(first, last);
+      last = std::unique(first, last);
+    }
+    const auto dest = lists.values.begin() + out;
+    if (dest != first) std::copy(first, last, dest);
+    lists.offsets[k] = out;
+    out += static_cast<uint32_t>(last - first);
+  }
+  lists.offsets.back() = out;
+  lists.values.resize(out);
+  return lists;
+}
+
+void IndexNames(const EntryColumn& column, NameTable* table) {
+  table->Reserve(column.size());
+  auto name_of = [&column](uint32_t i) { return column.name(i); };
+  for (uint32_t i = 0; i < column.size(); ++i) {
+    table->Insert(i, NameHash(column.name(i)), name_of);
+  }
+}
+
+}  // namespace
+
+std::unique_ptr<const GroupIndex> GroupIndex::Build(const RowGroup& group) {
+  auto index = std::make_unique<GroupIndex>();
+  const auto rows = static_cast<uint32_t>(group.rows());
+  const uint32_t first = group.first_row;
+
+  // Time order (ties in row order).
+  std::vector<uint32_t> order;
+  if (rows > 0) {
+    const auto [min_ts, max_ts] =
+        std::minmax_element(group.timestamp.begin(), group.timestamp.end());
+    index->min_ts = *min_ts;
+    index->max_ts = *max_ts;
+    const auto lo = static_cast<uint64_t>(*min_ts);
+    order = StableOrder(
+        rows, static_cast<uint64_t>(*max_ts) - lo, [&](uint32_t row) {
+          return static_cast<uint64_t>(group.timestamp[row]) - lo;
+        });
+  }
+  index->by_time.resize(rows);
+  for (uint32_t i = 0; i < rows; ++i) index->by_time[i] = first + order[i];
+
+  // Postings: keys visited in time order keep each key's rows in it.
+  std::vector<uint32_t> keys(rows);
+  auto postings = [&](const std::vector<uint32_t>& column) {
+    for (uint32_t i = 0; i < rows; ++i) keys[i] = column[order[i]];
+    return GroupByKey(keys, index->by_time);
+  };
+  index->by_subject = postings(group.subject);
+  index->by_agent = postings(group.agent);
+
+  // Usage mentions in row order, duplicates kept.
+  std::vector<uint32_t> mention_rows;
+  auto usage = [&](const std::vector<uint32_t>& end,
+                   const std::vector<uint32_t>& ids) {
+    mention_rows.resize(ids.size());
+    uint32_t at = 0;
+    for (uint32_t row = 0; row < rows; ++row) {
+      for (; at < end[row]; ++at) mention_rows[at] = first + row;
+    }
+    return GroupByKey(ids, mention_rows);
+  };
+  index->used_by = usage(group.input_end, group.inputs);
+  index->generated_by = usage(group.output_end, group.outputs);
+
+  std::vector<uint32_t> outs, ins;
+  outs.reserve(group.inputs.size());
+  ins.reserve(group.inputs.size());
+  for (uint32_t row = 0; row < rows; ++row) {
+    const IdSpan inputs = group.inputs_of(row);
+    for (uint32_t out : group.outputs_of(row)) {
+      for (uint32_t in : inputs) {
+        if (in == out) continue;
+        outs.push_back(out);
+        ins.push_back(in);
+      }
+    }
+  }
+  index->derived_from = GroupDistinct(outs, ins);
+  index->derivations = GroupDistinct(ins, outs);
+
+  IndexNames(group.entity_names, &index->entity_names);
+  IndexNames(group.agent_names, &index->agent_names);
+  IndexNames(group.records, &index->record_ids);
+  IndexBuildsCell()->Increment();
+  return index;
+}
+
+const GroupIndex& RowGroup::IndexSlot::Get(const RowGroup& group) const {
+  State& state = *state_;
+  std::call_once(state.once, [&] { state.index = GroupIndex::Build(group); });
+  return *state.index;
+}
+
+const GroupIndex& RowGroup::index() const { return index_slot_.Get(*this); }
 
 size_t RowGroup::bytes() const {
   return 12 + 2 * ArrayBytes(rows()) + 8 * rows() +

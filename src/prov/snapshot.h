@@ -7,14 +7,18 @@
 // into the writer's open row group, seals that group once it holds
 // kRowGroupRows rows, and hands the epoch the sealed groups by shared_ptr
 // plus a copy of the open group — O(new rows + one group), not O(graph).
-// Consecutive epochs therefore share every sealed group's memory. Every
-// reader *thread* opens its own cheap ProvenanceGraph over the image
-// (O(groups), no per-record work); records decode and the derived indexes
-// (postings, usage adjacency, derivations, the global time index) rebuild
-// from the groups' columns into reader-private state only when a query
-// actually touches them. No lock is ever taken on the read path:
-// acquiring the current snapshot is one atomic shared_ptr load, and
-// everything behind it is immutable.
+// Consecutive epochs therefore share every sealed group's memory, and its
+// index too: each group builds one immutable index (postings, usage and
+// derivation lists, time order, name tables) on first use, under
+// std::call_once, and every reader of every epoch that holds the group
+// reads it. A sealed group is indexed once per process, an epoch's copy of
+// the open group once per epoch; publishing never builds one. Every reader
+// *thread* opens its own cheap ProvenanceGraph over the image (O(groups),
+// no per-record work, no private index); records decode into the reader
+// only when a query materializes them, so switching epochs frees O(groups)
+// buffers plus those records. No lock is taken on the read path beyond
+// the one-time index builds: acquiring the current snapshot is one atomic
+// shared_ptr load, and everything behind it is immutable.
 //
 //   writer (committer thread)            readers (any threads)
 //   ─────────────────────────            ─────────────────────
@@ -73,10 +77,11 @@ class GraphSnapshot {
   /// The image itself (row groups + header).
   const GraphImage& image() const { return image_; }
 
-  /// \brief Open a reader over this epoch. Each reader owns a private
-  /// lazy graph view over the shared row groups, so a reader is cheap to
-  /// open (O(groups), no record decoding up front) but is NOT itself
-  /// thread-safe — open one per reader thread, or call
+  /// \brief Open a reader over this epoch. Each reader owns a graph view
+  /// over the shared row groups and their shared indexes, so a reader is
+  /// cheap to open (O(groups), no record decoding or indexing up front)
+  /// but is NOT itself thread-safe — its decoded-record cache is private;
+  /// open one per reader thread, or call
   /// SnapshotReader::Warm() once and share it read-only. Never fails on an
   /// image the store published; the Result is kept for callers that treat
   /// opening as fallible.
@@ -92,11 +97,11 @@ class GraphSnapshot {
 
 /// \brief A queryable view of one snapshot epoch.
 ///
-/// Thread safety: thread-compatible, like any lazily-loaded
-/// ProvenanceGraph — one thread per reader. To share a single reader
-/// across threads (e.g. for Query::Parallel fan-out), call Warm() first
-/// and mutate nothing afterwards; a warmed reader's const methods are
-/// pure reads.
+/// Thread safety: thread-compatible, like any opened ProvenanceGraph — one
+/// thread per reader (records decode into the reader on first use). To
+/// share a single reader across threads (e.g. for Query::Parallel
+/// fan-out), call Warm() first and mutate nothing afterwards; a warmed
+/// reader's const methods are pure reads.
 class SnapshotReader {
  public:
   /// The epoch this reader sees (never changes, whatever the writer does).
@@ -117,7 +122,7 @@ class SnapshotReader {
   /// snapshot.
   const ProvenanceGraph& graph() const { return graph_; }
 
-  /// Materialize everything now (records, indexes, intern maps). Trades
+  /// Materialize everything now (every group index, every record). Trades
   /// the lazy open for concurrent shareability and Query::Parallel
   /// eligibility — see ProvenanceGraph::Warm.
   void Warm() { graph_.Warm(); }

@@ -7,8 +7,11 @@
 //     only fully-committed state, monotone epochs, contiguous per-subject
 //     prefixes, and an acquired epoch never moves underneath them,
 //   * row-group epochs: pinned epochs keep exactly their rows while the
-//     writer seals groups, consecutive epochs share sealed groups, and a
-//     reader answers every query kind exactly like the live graph,
+//     writer seals groups, consecutive epochs share sealed groups, a
+//     reader answers every query kind exactly like the live graph (also
+//     across groups whose time ranges overlap, and after extending an
+//     opened graph in memory), and readers on one or many epochs build
+//     each group index exactly once between them,
 //   * parallel query execution: bit-identical results to serial runs,
 //   * the prepared-block fast path: byte-identical blocks to Append,
 //   * chunked chain views: a reader walks whole views while the writer
@@ -20,12 +23,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "crypto/merkle.h"
+#include "obs/metrics.h"
 #include "prov/ingest_pipeline.h"
 #include "prov/snapshot.h"
 #include "prov/store.h"
@@ -448,6 +456,309 @@ TEST(RowGroupEpochTest, ReaderMatchesLiveGraphForEveryQueryKind) {
     const QueryResult serial = reader.Execute(q);
     q.Parallel(4);
     ExpectSameResults(serial, reader.Execute(q));
+  }
+}
+
+// Four groups whose time ranges overlap: the first 600 rows of every
+// group after the first are back-dated 1200 steps into the previous
+// group's range (so equal timestamps sit on both sides of each boundary),
+// and every fifth row repeats its predecessor's timestamp. One row lists
+// the same input twice, one row in the last group consumes an entity first
+// seen in group 0, and every 1000th row derives "hub" from "root", a pair
+// every group repeats.
+constexpr size_t kOverlapRows = 3 * kRowGroupRows + 2000;
+constexpr size_t kTwiceRow = 2 * kRowGroupRows + 5;
+constexpr size_t kLateRow = 3 * kRowGroupRows + 100;
+constexpr Timestamp kOverlapBase = 3'000'000;
+
+Timestamp OverlapTs(size_t i) {
+  const size_t j = i % 5 == 4 ? i - 1 : i;
+  Timestamp ts = kOverlapBase + static_cast<Timestamp>(j);
+  if (j >= kRowGroupRows && j % kRowGroupRows < 600) ts -= 1200;
+  return ts;
+}
+
+ProvenanceRecord OverlapRec(size_t i) {
+  ProvenanceRecord rec = Rec(i, 97, 13);
+  rec.record_id = "ov-" + std::to_string(i);
+  rec.timestamp = OverlapTs(i);
+  rec.outputs = {"out-" + std::to_string(i)};
+  if (i % 50 >= 1) rec.inputs.push_back("out-" + std::to_string(i - 1));
+  if (i % 50 >= 2) rec.inputs.push_back("out-" + std::to_string(i - 2));
+  if (i == kTwiceRow) rec.inputs = {"out-1000", "out-1000"};
+  if (i == kLateRow) rec.inputs.push_back("out-7");
+  if (i % 1000 == 3) {
+    rec.inputs.push_back("root");
+    rec.outputs.push_back("hub");
+  }
+  return rec;
+}
+
+std::vector<Query> OverlapQueries() {
+  const Timestamp b1 = kOverlapBase + static_cast<Timestamp>(kRowGroupRows);
+  const Timestamp b2 = b1 + static_cast<Timestamp>(kRowGroupRows);
+  std::vector<Query> q;
+  q.push_back(Query().WithSubject("entity-5"));
+  q.push_back(Query().WithSubject("entity-96").Descending().Limit(7));
+  q.push_back(Query().WithSubject("entity-7").Between(b1 - 1300, b2 + 50));
+  q.push_back(Query().WithAgent("agent-3"));
+  q.push_back(Query().WithAgent("agent-1").Offset(100).Limit(50));
+  q.push_back(Query().WithAgent("agent-2").Descending().Offset(1250).Limit(30));
+  q.push_back(Query().WithAgent("agent-4").Descending().Limit(32));
+  q.push_back(Query().Between(b1 - 1300, b1 + 50));
+  q.push_back(
+      Query().Between(b2 - 1300, b2 + 700).Descending().Offset(10).Limit(100));
+  q.push_back(Query().Between(kOverlapBase, kOverlapBase + 10).Descending());
+  q.push_back(Query().Descending().Limit(40));
+  q.push_back(Query().Offset(kRowGroupRows - 20).Limit(40));
+  q.push_back(Query()
+                  .Descending()
+                  .Offset(kOverlapRows - kRowGroupRows - 700)
+                  .Limit(25));
+  q.push_back(Query().WithInput("out-7"));
+  q.push_back(Query().WithInput("out-1000"));
+  q.push_back(Query().WithInput("root").Descending().Limit(3));
+  q.push_back(Query().WithOutput("hub"));
+  q.push_back(Query().WithOutput("out-16384"));
+  q.push_back(
+      Query().WithOperation("update").Offset(kRowGroupRows / 3).Limit(20));
+  q.push_back(Query().WithField("seq", std::to_string(kLateRow)));
+  q.push_back(Query().OnlyValid().WithSubject("entity-46"));
+  q.push_back(Query().OnlyInvalidated());
+  q.push_back(Query().OnlyValid().CountOnly());
+  q.push_back(Query().WithSubjectPrefix("entity-1").CountOnly());
+  q.push_back(Query().WithSubject("entity-5").CountOnly());
+  q.push_back(Query().WithAgent("agent-4").CountOnly());
+  q.push_back(Query().Between(b1 - 1300, b2 + 50).CountOnly());
+  return q;
+}
+
+// `got` answers like `want`: every query of OverlapQueries (results, plan
+// and Explain, and the visitor overload), traversal orders and every
+// cardinality accessor.
+void ExpectSameGraph(const ProvenanceGraph& want, const ProvenanceGraph& got) {
+  const std::vector<Query> queries = OverlapQueries();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    const Query& q = queries[i];
+    const QueryResult w = want.Run(q);
+    const QueryResult g = got.Run(q);
+    EXPECT_EQ(g.count, w.count);
+    EXPECT_EQ(g.index_used, w.index_used);
+    EXPECT_EQ(g.candidates_scanned, w.candidates_scanned);
+    EXPECT_EQ(Ids(g), Ids(w));
+    const QueryExplain we = want.Explain(q);
+    const QueryExplain ge = got.Explain(q);
+    EXPECT_EQ(ge.index_used, we.index_used);
+    EXPECT_EQ(ge.estimated_candidates, we.estimated_candidates);
+    EXPECT_EQ(ge.candidates_scanned, we.candidates_scanned);
+    EXPECT_EQ(ge.rows_matched, we.rows_matched);
+    std::vector<std::string> visited_w, visited_g;
+    want.Run(q, [&](const ProvenanceRecord& r) {
+      visited_w.push_back(r.record_id);
+      return true;
+    });
+    got.Run(q, [&](const ProvenanceRecord& r) {
+      visited_g.push_back(r.record_id);
+      return true;
+    });
+    EXPECT_EQ(visited_g, visited_w);
+  }
+  const std::vector<std::string> entities = {
+      "hub",      "root",   "out-7",
+      "out-1000", "out-16390", "out-49",
+      "out-" + std::to_string(kLateRow), "out-" + std::to_string(kTwiceRow)};
+  for (const std::string& entity : entities) {
+    EXPECT_EQ(got.Lineage(entity), want.Lineage(entity)) << entity;
+    EXPECT_EQ(got.Descendants(entity), want.Descendants(entity)) << entity;
+  }
+  for (const char* rec : {"ov-3", "ov-7", "ov-1000", "ov-1210"}) {
+    EXPECT_EQ(got.ReexecutionSet(rec), want.ReexecutionSet(rec)) << rec;
+  }
+  EXPECT_EQ(got.record_count(), want.record_count());
+  EXPECT_EQ(got.entity_count(), want.entity_count());
+  EXPECT_EQ(got.edge_count(), want.edge_count());
+  EXPECT_EQ(got.agent_count(), want.agent_count());
+  EXPECT_EQ(got.subject_count(), want.subject_count());
+  EXPECT_EQ(got.invalidated_count(), want.invalidated_count());
+  for (const char* subject : {"entity-5", "entity-96", "brand-new"}) {
+    EXPECT_EQ(got.SubjectRecordCount(subject),
+              want.SubjectRecordCount(subject));
+  }
+  EXPECT_EQ(got.AgentRecordCount("agent-6"), want.AgentRecordCount("agent-6"));
+  for (const char* entity : {"out-7", "out-1000", "root", "brand-new-input"}) {
+    EXPECT_EQ(got.EntityUseCount(entity), want.EntityUseCount(entity));
+  }
+  for (const char* entity : {"hub", "out-16384", "entity-3"}) {
+    EXPECT_EQ(got.EntityGenerationCount(entity),
+              want.EntityGenerationCount(entity));
+  }
+  const Timestamp b1 = kOverlapBase + static_cast<Timestamp>(kRowGroupRows);
+  EXPECT_EQ(got.InRangeCount(b1 - 1300, b1 + 50),
+            want.InRangeCount(b1 - 1300, b1 + 50));
+}
+
+TEST(RowGroupEpochTest, ReaderMatchesLiveGraphAcrossOverlappingGroups) {
+  ProvenanceGraph live;
+  for (size_t i = 0; i < kOverlapRows; ++i) {
+    ASSERT_TRUE(live.AddRecord(OverlapRec(i)).ok());
+  }
+  ASSERT_TRUE(live.Invalidate("ov-1210", 4'000'000, "bad calibration").ok());
+  // ov-1001, ov-1002 and both mentions of the twice-listing row.
+  EXPECT_EQ(live.EntityUseCount("out-1000"), 4u);
+  const GraphImage image = live.Image();
+  ASSERT_EQ(image.groups.size(), 4u);
+  for (size_t g = 1; g < image.groups.size(); ++g) {
+    const auto& before = image.groups[g - 1]->timestamp;
+    const auto& after = image.groups[g]->timestamp;
+    EXPECT_LT(*std::min_element(after.begin(), after.end()),
+              *std::max_element(before.begin(), before.end()));
+    EXPECT_NE(std::find(before.begin(), before.end(), after.front()),
+              before.end());
+  }
+
+  GraphSnapshot snapshot(1, 0, image);
+  auto reader = snapshot.OpenReader();
+  ASSERT_TRUE(reader.ok());
+  ExpectSameGraph(live, reader->graph());
+
+  // An opened graph extended in memory indexes only its new rows and
+  // still answers like a live graph fed the same rows: a subject the base
+  // already holds, a derivation pair the base already holds (counted
+  // once), an entity new to both, and ties with base timestamps.
+  ProvenanceGraph extended;
+  extended.Open(image);
+  std::vector<ProvenanceRecord> more;
+  for (size_t k = 0; k < 3; ++k) more.push_back(Rec(kOverlapRows + k, 97, 13));
+  more[0].subject = "entity-5";
+  more[0].inputs = {"out-7"};
+  more[0].timestamp = OverlapTs(kRowGroupRows);
+  more[1].inputs = {"root"};
+  more[1].outputs = {"hub"};
+  more[1].timestamp = OverlapTs(2 * kRowGroupRows + 3);
+  more[2].subject = "brand-new";
+  more[2].inputs = {"brand-new-input", "out-1000"};
+  for (const ProvenanceRecord& rec : more) {
+    ASSERT_TRUE(live.AddRecord(rec).ok());
+    ASSERT_TRUE(extended.AddRecord(rec).ok());
+  }
+  EXPECT_EQ(extended.edge_count(), live.edge_count());
+  EXPECT_EQ(extended.subject_count(), live.subject_count());
+  ExpectSameGraph(live, extended);
+
+  // The extension publishes like any graph: its last group is a copy.
+  GraphSnapshot next(2, 0, extended.Image());
+  auto next_reader = next.OpenReader();
+  ASSERT_TRUE(next_reader.ok());
+  ExpectSameGraph(live, next_reader->graph());
+}
+
+// Readers on the latest epoch and readers walking consecutive epochs,
+// while the writer seals two groups: every group index is built exactly
+// once between them (each sealed group once, each epoch's copy of the open
+// group once), and every reader answers like a warmed reader of its epoch.
+TEST(RowGroupEpochTest, ReadersBuildEachGroupIndexOnce) {
+  constexpr size_t kRows = 2 * kRowGroupRows + 1500;
+  constexpr size_t kPerEpoch = 2500;
+  constexpr size_t kThreads = 4;
+  obs::Counter* builds = obs::Registry::Default()->GetCounter(
+      "graph_group_index_builds_total", "");
+  const uint64_t builds_before = builds->value();
+
+  auto mix = [](const ProvenanceGraph& graph, size_t round) {
+    std::vector<std::vector<std::string>> out;
+    out.push_back(Ids(graph.Run(
+        Query().WithSubject("entity-" + std::to_string(round % 97)))));
+    const std::string agent = "agent-" + std::to_string(round % 7);
+    out.push_back(
+        Ids(graph.Run(Query().WithAgent(agent).Descending().Limit(32))));
+    // The window query reads every group's time bounds, so a reader
+    // touches every group of its epoch.
+    out.push_back({std::to_string(
+        graph.Run(Query().Between(2'001'000, 2'002'000).CountOnly()).count)});
+    out.push_back(graph.Lineage("out-" + std::to_string(round * 131 % 2500)));
+    return out;
+  };
+  struct Seen {
+    std::shared_ptr<const GraphSnapshot> epoch;
+    size_t round;
+    std::vector<std::vector<std::string>> results;
+  };
+
+  ProvenanceGraph live;
+  std::mutex mu;
+  // Every published epoch stays alive, so group addresses stay distinct.
+  std::vector<std::shared_ptr<const GraphSnapshot>> epochs;
+  auto publish = [&] {
+    auto snap = std::make_shared<const GraphSnapshot>(epochs.size() + 1, 0,
+                                                      live.Image());
+    std::lock_guard<std::mutex> lock(mu);
+    epochs.push_back(std::move(snap));
+  };
+  AddChainRecs(&live, 0, kPerEpoch);
+  publish();
+
+  std::atomic<bool> done{false};
+  std::vector<std::vector<Seen>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      size_t walked = 0;  // threads 2 and 3 walk every epoch in order
+      for (size_t round = t;; round += kThreads) {
+        const bool last = done.load(std::memory_order_acquire);
+        std::shared_ptr<const GraphSnapshot> snap;
+        size_t published = 0;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          published = epochs.size();
+          if (t < 2) {
+            snap = epochs.back();
+          } else if (walked < published) {
+            snap = epochs[walked++];
+          }
+        }
+        if (snap != nullptr) {
+          auto reader = snap->OpenReader();
+          ASSERT_TRUE(reader.ok());
+          seen[t].push_back({snap, round, mix(reader->graph(), round)});
+        }
+        if (last && (t < 2 || walked == published)) break;
+      }
+    });
+  }
+  for (size_t n = kPerEpoch; n < kRows; n += kPerEpoch) {
+    AddChainRecs(&live, n, std::min(kRows, n + kPerEpoch));
+    publish();
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& thread : threads) thread.join();
+
+  ASSERT_EQ(epochs.back()->image().groups.size(), 3u);
+  std::set<const RowGroup*> touched;
+  for (const auto& per_thread : seen) {
+    for (const Seen& s : per_thread) {
+      for (const auto& group : s.epoch->image().groups) {
+        touched.insert(group.get());
+      }
+    }
+  }
+  EXPECT_EQ(builds->value() - builds_before, touched.size());
+  EXPECT_EQ(seen[2].size(), epochs.size());
+  EXPECT_EQ(seen[3].size(), epochs.size());
+
+  std::map<const GraphSnapshot*, SnapshotReader> warmed;
+  for (const auto& per_thread : seen) {
+    for (const Seen& s : per_thread) {
+      auto it = warmed.find(s.epoch.get());
+      if (it == warmed.end()) {
+        auto reader = s.epoch->OpenReader();
+        ASSERT_TRUE(reader.ok());
+        it = warmed.emplace(s.epoch.get(), std::move(reader).value()).first;
+        it->second.Warm();
+      }
+      EXPECT_EQ(s.results, mix(it->second.graph(), s.round))
+          << "epoch " << s.epoch->epoch() << " round " << s.round;
+    }
   }
 }
 

@@ -309,6 +309,64 @@ TEST(GraphDiamondTest, DiamondLineageNoDuplicates) {
   EXPECT_EQ(lineage.size(), 3u);  // b, c, a — each exactly once
 }
 
+// A hand-made (checksum-valid) image whose last group repeats a name the
+// first group already interned: the name resolves to its lowest id, as the
+// first-seen order would have it, and the repeat keeps its own id.
+TEST(RowGroupIndexTest, NameRepeatedAcrossGroupsResolvesToLowestId) {
+  ProvenanceGraph live;
+  for (size_t i = 0; i < 2 * kRowGroupRows + 8; ++i) {
+    ProvenanceRecord rec;
+    rec.record_id = "r" + std::to_string(i);
+    rec.operation = "op";
+    rec.subject = "s" + std::to_string(i % 40);
+    rec.agent = "a" + std::to_string(i % 3);
+    rec.timestamp = static_cast<Timestamp>(5'000'000 + i);
+    ASSERT_TRUE(live.AddRecord(rec).ok());
+  }
+  GraphImage image = live.Image();
+  ASSERT_EQ(image.groups.size(), 3u);
+  auto last = std::make_shared<RowGroup>(*image.groups.back());
+  const uint32_t repeat = last->entity_end();
+  last->entity_names.AppendName("s0");
+  last->subject[0] = repeat;
+  image.groups.back() = last;
+  Encoder enc;
+  image.EncodeTo(&enc);
+  Decoder dec(enc.buffer());
+  GraphImage loaded;
+  ASSERT_TRUE(GraphImage::DecodeFrom(&dec, &loaded).ok());
+
+  InternTable names;
+  names.Open(loaded.groups, &RowGroup::entity_names,
+             &GroupIndex::entity_names);
+  EXPECT_EQ(names.size(), repeat + 1u);
+  EXPECT_EQ(names.Find("s0"), 0u);
+  EXPECT_EQ(names.Name(repeat), "s0");
+  EXPECT_EQ(names.Name(0), "s0");
+  EXPECT_EQ(names.Find("s39"), 39u);
+  EXPECT_EQ(names.Find("s40"), InternTable::kNone);
+
+  // The graph reads names the same way: "s0" is entity 0, and the row
+  // moved onto the repeat (from "s8") is reachable by neither name.
+  ProvenanceGraph opened;
+  opened.Open(loaded);
+  EXPECT_EQ(opened.entity_count(), repeat + 1u);
+  EXPECT_EQ(opened.SubjectRecordCount("s0"), live.SubjectRecordCount("s0"));
+  EXPECT_EQ(opened.SubjectRecordCount("s8"),
+            live.SubjectRecordCount("s8") - 1);
+  ProvenanceRecord more;
+  more.record_id = "more";
+  more.operation = "op";
+  more.subject = "s0";
+  more.agent = "a0";
+  more.timestamp = 6'000'000;
+  ASSERT_TRUE(opened.AddRecord(more).ok());
+  EXPECT_EQ(opened.entity_count(), repeat + 1u);
+  EXPECT_EQ(opened.SubjectRecordCount("s0"),
+            live.SubjectRecordCount("s0") + 1);
+  EXPECT_EQ(opened.subject_count(), live.subject_count());
+}
+
 }  // namespace
 }  // namespace prov
 }  // namespace provledger
