@@ -16,10 +16,12 @@ configure_tree() {
 }
 
 # build_tree <build-dir> [cmake --build args, e.g. --target foo]
+# One job per CPU: a bare -j starts as many compile jobs as make can find,
+# which can exhaust memory or process ids on a small machine.
 build_tree() {
   local build="$1"
   shift
-  cmake --build "$build" -j "$@"
+  cmake --build "$build" -j "$(nproc)" "$@"
 }
 
 # ctest_tree <build-dir> [ctest args, e.g. -L recovery]

@@ -193,6 +193,15 @@ Status Decoder::GetString(std::string* s) {
   return Status::OK();
 }
 
+Status Decoder::GetStringView(std::string_view* s) {
+  uint32_t len;
+  PROVLEDGER_RETURN_NOT_OK(GetU32(&len));
+  PROVLEDGER_RETURN_NOT_OK(Need(len));
+  *s = std::string_view(reinterpret_cast<const char*>(data_ + pos_), len);
+  pos_ += len;
+  return Status::OK();
+}
+
 Status Decoder::GetRaw(size_t len, Bytes* b) {
   PROVLEDGER_RETURN_NOT_OK(Need(len));
   b->assign(data_ + pos_, data_ + pos_ + len);

@@ -95,6 +95,9 @@ class Decoder {
   Status GetBool(bool* v);
   Status GetBytes(Bytes* b);
   Status GetString(std::string* s);
+  /// Zero-copy GetString: `s` views the decoder's buffer, so it is valid
+  /// only while that buffer is.
+  Status GetStringView(std::string_view* s);
   /// Reads exactly `len` raw bytes.
   Status GetRaw(size_t len, Bytes* b);
   /// Reads exactly `len` raw bytes into `out` (which must hold `len`):

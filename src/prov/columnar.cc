@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
+
+#include "prov/row_group.h"
 
 namespace provledger {
 namespace prov {
@@ -19,30 +21,34 @@ namespace {
 // still concatenates back exactly.
 constexpr size_t kMaxDigits = 18;
 
-/// Batch-local string dictionary: interned during column building, emitted
-/// (count + length-prefixed entries) ahead of the columns that reference it.
+/// Batch-local string dictionary: ids in first-intern order, emitted
+/// (count + length-prefixed entries) ahead of the columns that reference
+/// it. Entries are views into the batch's payloads or records, which
+/// outlive the encode call, keyed by a flat NameTable.
 class DictBuilder {
  public:
-  uint64_t Intern(const std::string& s) {
-    auto it = ids_.find(s);
-    if (it != ids_.end()) return it->second;
-    const uint64_t id = entries_.size();
+  uint64_t Intern(std::string_view s) {
+    const uint64_t hash = NameHash(s);
+    const auto name_of = [this](uint32_t i) { return entries_[i]; };
+    const uint32_t found = table_.Find(s, hash, name_of);
+    if (found != NameTable::kNone) return found;
+    const auto id = static_cast<uint32_t>(entries_.size());
     entries_.push_back(s);
-    ids_.emplace(s, id);
+    table_.Insert(id, hash, name_of);
     return id;
   }
 
   void EmitTo(Encoder* enc) const {
     enc->PutUVarint(entries_.size());
-    for (const auto& s : entries_) {
+    for (std::string_view s : entries_) {
       enc->PutUVarint(s.size());
       enc->PutRaw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
     }
   }
 
  private:
-  std::vector<std::string> entries_;
-  std::unordered_map<std::string, uint64_t> ids_;
+  std::vector<std::string_view> entries_;
+  NameTable table_;
 };
 
 class DictReader {
@@ -79,7 +85,7 @@ class DictReader {
 };
 
 /// Head length of `s` after splitting off its trailing digit run.
-size_t IdHeadLength(const std::string& s) {
+size_t IdHeadLength(std::string_view s) {
   size_t head = s.size();
   while (head > 0 && s[head - 1] >= '0' && s[head - 1] <= '9') --head;
   if (s.size() - head > kMaxDigits) head = s.size() - kMaxDigits;
@@ -93,7 +99,7 @@ class IdColumnEncoder {
  public:
   explicit IdColumnEncoder(DictBuilder* dict) : dict_(dict) {}
 
-  void Put(Encoder* cols, const std::string& s) {
+  void Put(Encoder* cols, std::string_view s) {
     const size_t head = IdHeadLength(s);
     const size_t width = s.size() - head;
     cols->PutUVarint(dict_->Intern(s.substr(0, head)));
@@ -148,47 +154,158 @@ class IdColumnDecoder {
   uint64_t prev_ = 0;
 };
 
+/// One record of a batch as views. Its inputs, outputs and field pairs
+/// (key, value, key, value, ...) follow each other in the batch's one
+/// `lists` array, starting at `first`.
+struct RowView {
+  std::string_view record_id;
+  std::string_view operation;
+  std::string_view subject;
+  std::string_view agent;
+  uint8_t domain = 0;
+  Timestamp timestamp = 0;
+  uint32_t first = 0;
+  uint32_t inputs = 0;
+  uint32_t outputs = 0;
+  uint32_t fields = 0;
+  const uint8_t* payload_hash = nullptr;
+};
+
+/// ProvenanceRecord::Decode rule for rule, on views: bounds-checked
+/// u32-length strings, a known domain byte, counts bounded by the bytes
+/// left (4 per list entry, 8 per field), strictly increasing field keys
+/// (string_view orders like std::string), a 32-byte payload hash, then the
+/// end of the payload. Appends the row's list entries to `lists`.
+Status ParseRecord(const Bytes& payload, RowView* row,
+                   std::vector<std::string_view>* lists) {
+  Decoder dec(payload);
+  PROVLEDGER_RETURN_NOT_OK(dec.GetStringView(&row->record_id));
+  PROVLEDGER_RETURN_NOT_OK(dec.GetU8(&row->domain));
+  if (row->domain > static_cast<uint8_t>(Domain::kMachineLearning)) {
+    return Status::Corruption("unknown domain byte");
+  }
+  PROVLEDGER_RETURN_NOT_OK(dec.GetStringView(&row->operation));
+  PROVLEDGER_RETURN_NOT_OK(dec.GetStringView(&row->subject));
+  PROVLEDGER_RETURN_NOT_OK(dec.GetStringView(&row->agent));
+  PROVLEDGER_RETURN_NOT_OK(dec.GetI64(&row->timestamp));
+  for (uint32_t* count : {&row->inputs, &row->outputs}) {
+    PROVLEDGER_RETURN_NOT_OK(dec.GetU32(count));
+    if (*count > dec.remaining() / 4) {
+      return Status::Corruption("record list count exceeds payload");
+    }
+    for (uint32_t i = 0; i < *count; ++i) {
+      PROVLEDGER_RETURN_NOT_OK(dec.GetStringView(&lists->emplace_back()));
+    }
+  }
+  PROVLEDGER_RETURN_NOT_OK(dec.GetU32(&row->fields));
+  if (row->fields > dec.remaining() / 8) {
+    return Status::Corruption("record fields count exceeds payload");
+  }
+  for (uint32_t i = 0; i < row->fields; ++i) {
+    std::string_view key;
+    PROVLEDGER_RETURN_NOT_OK(dec.GetStringView(&key));
+    // The previous key sits two entries back, before its value.
+    if (i > 0 && key <= (*lists)[lists->size() - 2]) {
+      return Status::Corruption("record field keys not strictly increasing");
+    }
+    lists->push_back(key);
+    PROVLEDGER_RETURN_NOT_OK(dec.GetStringView(&lists->emplace_back()));
+  }
+  row->payload_hash = payload.data() + dec.position();
+  PROVLEDGER_RETURN_NOT_OK(dec.Skip(crypto::kSha256DigestSize));
+  if (!dec.AtEnd()) {
+    return Status::Corruption("trailing bytes after provenance record");
+  }
+  return Status::OK();
+}
+
+/// The records of one batch as rows of views into transaction payloads or
+/// the caller's records, which outlive the encode call.
+struct RecordRows {
+  std::vector<RowView> rows;
+  std::vector<std::string_view> lists;
+
+  /// Add a row viewing `payload` when it is exactly the bytes
+  /// ProvenanceRecord::Decode accepts (and so the canonical encoding of the
+  /// record it decodes to); otherwise return false and leave the batch as
+  /// it was.
+  bool AddPayload(const Bytes& payload) {
+    RowView row;
+    row.first = static_cast<uint32_t>(lists.size());
+    if (!ParseRecord(payload, &row, &lists).ok()) {
+      lists.resize(row.first);
+      return false;
+    }
+    rows.push_back(row);
+    return true;
+  }
+
+  void AddRecord(const ProvenanceRecord& rec) {
+    RowView row;
+    row.record_id = rec.record_id;
+    row.operation = rec.operation;
+    row.subject = rec.subject;
+    row.agent = rec.agent;
+    row.domain = static_cast<uint8_t>(rec.domain);
+    row.timestamp = rec.timestamp;
+    row.first = static_cast<uint32_t>(lists.size());
+    row.inputs = static_cast<uint32_t>(rec.inputs.size());
+    row.outputs = static_cast<uint32_t>(rec.outputs.size());
+    row.fields = static_cast<uint32_t>(rec.fields.size());
+    row.payload_hash = rec.payload_hash.data();
+    lists.insert(lists.end(), rec.inputs.begin(), rec.inputs.end());
+    lists.insert(lists.end(), rec.outputs.begin(), rec.outputs.end());
+    for (const auto& [key, value] : rec.fields) {
+      lists.push_back(key);
+      lists.push_back(value);
+    }
+    rows.push_back(row);
+  }
+};
+
 /// Emit every record column (in the order documented in the header) into
 /// `cols`, interning strings into `dict`.
-void EncodeRecordColumns(const std::vector<ProvenanceRecord>& records,
-                         DictBuilder* dict, Encoder* cols) {
+void EncodeRecordColumns(const RecordRows& batch, DictBuilder* dict,
+                         Encoder* cols) {
+  const std::vector<RowView>& rows = batch.rows;
   IdColumnEncoder ids(dict);
-  for (const auto& r : records) ids.Put(cols, r.record_id);
-  for (const auto& r : records) {
-    cols->PutU8(static_cast<uint8_t>(r.domain));
-  }
-  for (const auto& r : records) cols->PutUVarint(dict->Intern(r.operation));
+  for (const auto& r : rows) ids.Put(cols, r.record_id);
+  for (const auto& r : rows) cols->PutU8(r.domain);
+  for (const auto& r : rows) cols->PutUVarint(dict->Intern(r.operation));
   IdColumnEncoder subjects(dict);
-  for (const auto& r : records) subjects.Put(cols, r.subject);
+  for (const auto& r : rows) subjects.Put(cols, r.subject);
   IdColumnEncoder agents(dict);
-  for (const auto& r : records) agents.Put(cols, r.agent);
+  for (const auto& r : rows) agents.Put(cols, r.agent);
   uint64_t prev_ts = 0;
-  for (const auto& r : records) {
+  for (const auto& r : rows) {
     const uint64_t ts = static_cast<uint64_t>(r.timestamp);
     cols->PutSVarint(static_cast<int64_t>(ts - prev_ts));
     prev_ts = ts;
   }
   IdColumnEncoder inputs(dict);
-  for (const auto& r : records) {
-    cols->PutUVarint(r.inputs.size());
-    for (const auto& in : r.inputs) inputs.Put(cols, in);
+  for (const auto& r : rows) {
+    cols->PutUVarint(r.inputs);
+    const std::string_view* list = batch.lists.data() + r.first;
+    for (uint32_t i = 0; i < r.inputs; ++i) inputs.Put(cols, list[i]);
   }
   IdColumnEncoder outputs(dict);
-  for (const auto& r : records) {
-    cols->PutUVarint(r.outputs.size());
-    for (const auto& out : r.outputs) outputs.Put(cols, out);
+  for (const auto& r : rows) {
+    cols->PutUVarint(r.outputs);
+    const std::string_view* list = batch.lists.data() + r.first + r.inputs;
+    for (uint32_t i = 0; i < r.outputs; ++i) outputs.Put(cols, list[i]);
   }
   // Field schemas: the ordered key-id list of a record's field map,
   // interned on first sight (schema ref == table size announces a new
   // schema, whose definition follows inline). IoT batches share one
   // schema, so per record only the value refs remain.
   std::vector<std::vector<uint64_t>> schemas;
-  for (const auto& r : records) {
-    std::vector<uint64_t> schema;
-    schema.reserve(r.fields.size());
-    for (const auto& [key, value] : r.fields) {
-      (void)value;
-      schema.push_back(dict->Intern(key));
+  std::vector<uint64_t> schema;
+  for (const auto& r : rows) {
+    const std::string_view* pairs =
+        batch.lists.data() + r.first + r.inputs + r.outputs;
+    schema.clear();
+    for (uint32_t i = 0; i < r.fields; ++i) {
+      schema.push_back(dict->Intern(pairs[2 * i]));
     }
     size_t schema_id = 0;
     while (schema_id < schemas.size() && schemas[schema_id] != schema) {
@@ -198,17 +315,18 @@ void EncodeRecordColumns(const std::vector<ProvenanceRecord>& records,
     if (schema_id == schemas.size()) {
       cols->PutUVarint(schema.size());
       for (uint64_t key_id : schema) cols->PutUVarint(key_id);
-      schemas.push_back(std::move(schema));
+      schemas.push_back(schema);
     }
-    for (const auto& [key, value] : r.fields) {
-      (void)key;
-      cols->PutUVarint(dict->Intern(value));
+    for (uint32_t i = 0; i < r.fields; ++i) {
+      cols->PutUVarint(dict->Intern(pairs[2 * i + 1]));
     }
   }
-  for (const auto& r : records) {
-    const bool zero = r.payload_hash == crypto::ZeroDigest();
-    cols->PutU8(zero ? 0 : 1);
-    if (!zero) cols->PutRaw(r.payload_hash.data(), r.payload_hash.size());
+  const crypto::Digest zero = crypto::ZeroDigest();
+  for (const auto& r : rows) {
+    const bool is_zero =
+        std::memcmp(r.payload_hash, zero.data(), zero.size()) == 0;
+    cols->PutU8(is_zero ? 0 : 1);
+    if (!is_zero) cols->PutRaw(r.payload_hash, zero.size());
   }
 }
 
@@ -317,9 +435,12 @@ void EncodeRecordBatch(const std::vector<ProvenanceRecord>& records,
                        Encoder* enc) {
   enc->PutUVarint(records.size());
   if (records.empty()) return;
+  RecordRows batch;
+  batch.rows.reserve(records.size());
+  for (const auto& r : records) batch.AddRecord(r);
   DictBuilder dict;
   Encoder cols;
-  EncodeRecordColumns(records, &dict, &cols);
+  EncodeRecordColumns(batch, &dict, &cols);
   dict.EmitTo(enc);
   enc->PutRaw(cols.buffer());
 }
@@ -366,19 +487,16 @@ Bytes EncodeBlock(const ledger::Block& block) {
   block.header.EncodeTo(&enc);
   enc.PutUVarint(block.transactions.size());
 
-  // Partition transactions: a payload that decodes to a record and
-  // re-encodes to the exact same bytes goes through the record columns
-  // (the canonical-form check IS the bit-identical guarantee); anything
-  // else — foreign tx types, non-canonical payloads — rides along raw.
+  // Partition transactions: a payload that parses as a canonical record
+  // encoding goes through the record columns (the parse accepts exactly
+  // the bytes ProvenanceRecord::Decode accepts, and those are the
+  // canonical encoding of what they decode to); anything else — foreign
+  // tx types, non-canonical payloads — rides along raw.
   std::vector<uint8_t> flags(block.transactions.size(), 0);
-  std::vector<ProvenanceRecord> records;
-  records.reserve(block.transactions.size());
+  RecordRows records;
+  records.rows.reserve(block.transactions.size());
   for (size_t i = 0; i < block.transactions.size(); ++i) {
-    auto rec = ProvenanceRecord::Decode(block.transactions[i].payload);
-    if (rec.ok() && rec.value().Encode() == block.transactions[i].payload) {
-      flags[i] = 1;
-      records.push_back(std::move(rec).value());
-    }
+    flags[i] = records.AddPayload(block.transactions[i].payload) ? 1 : 0;
   }
 
   DictBuilder dict;

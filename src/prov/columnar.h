@@ -10,9 +10,14 @@
 // The strict invariant: decoding reproduces records **bit-identical** to
 // their canonical ProvenanceRecord::Encode() form — same Hash(), so Merkle
 // roots, dedup, and follower re-validation are untouched. The block codec
-// enforces this at encode time: a transaction whose payload is not the
-// canonical encoding of a decodable record (foreign tx types, non-canonical
-// payloads) falls back to its raw bytes inside the same frame.
+// enforces this at encode time by parsing each transaction payload in place
+// under exactly ProvenanceRecord::Decode's rules (bounded u32-length
+// strings, a known domain byte, counts bounded by the bytes left, strictly
+// increasing field keys, a 32-byte payload hash, then the end): bytes that
+// pass are the canonical encoding of the record they decode to and go
+// through the record columns without a record being built; anything else
+// (foreign tx types, non-canonical payloads) falls back to its raw bytes
+// inside the same frame.
 //
 // Frame versioning: a columnar block body starts with the 8-byte magic
 // "PLCOLB01"; DecodeBlock sniffs it and falls back to the legacy
@@ -68,9 +73,10 @@ Status DecodeRecordBatch(Decoder* dec, std::vector<ProvenanceRecord>* out);
 Result<std::vector<ProvenanceRecord>> DecodeRecordBatch(const Bytes& data);
 
 /// \brief Encode a block with a columnar body: header as today, then the
-/// transaction columns, with prov/record payloads stored once through the
+/// transaction columns, with record payloads stored once through the
 /// record columns. Safe for arbitrary blocks — transactions that do not
-/// carry a canonical record payload ride along as raw bytes.
+/// carry a canonical record payload ride along as raw bytes. Payloads are
+/// read in place: no record is decoded.
 Bytes EncodeBlock(const ledger::Block& block);
 
 /// \brief Decode a block body of either form: columnar (magic-prefixed) or

@@ -64,7 +64,9 @@ struct IngestPipelineOptions {
   size_t commit_queue_capacity = 8;
   /// Publish a graph snapshot epoch after every N committed batches
   /// (0 = only on Flush/Close when publish_on_flush is set). Publication
-  /// costs O(graph), so keep N coarse under heavy write load.
+  /// encodes the rows committed since the last epoch and copies the open
+  /// row group (under kRowGroupRows rows); sealed groups are shared, so
+  /// its cost does not grow with the graph.
   size_t snapshot_every_batches = 0;
   /// Publish a fresh epoch at the end of every successful Flush()/Close().
   bool publish_on_flush = false;

@@ -9,9 +9,11 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -238,6 +240,161 @@ TEST(ColumnarBlockTest, RoundTripWithRawFallback) {
   EXPECT_EQ(decoded.value().header.Hash(), block.header.Hash());
   EXPECT_TRUE(
       decoded.value().transactions[32].VerifySignature().ok());
+}
+
+bool Contains(const Bytes& haystack, const Bytes& needle) {
+  return std::search(haystack.begin(), haystack.end(), needle.begin(),
+                     needle.end()) != haystack.end();
+}
+
+/// A record encoding written field by field, so a test can make it
+/// near-canonical: a domain byte, an input count `extra_inputs` past the
+/// one input present, any field sequence and a payload hash of any length.
+Bytes HandEncodedRecord(
+    uint8_t domain, uint32_t extra_inputs,
+    const std::vector<std::pair<std::string, std::string>>& fields,
+    size_t hash_len) {
+  Encoder enc;
+  enc.PutString("rec-77");
+  enc.PutU8(domain);
+  enc.PutString("update");
+  enc.PutString("file-1");
+  enc.PutString("user-1");
+  enc.PutI64(5'000'000);
+  enc.PutU32(1 + extra_inputs);
+  enc.PutString("in-1");
+  enc.PutU32(0);
+  enc.PutU32(static_cast<uint32_t>(fields.size()));
+  for (const auto& [key, value] : fields) {
+    enc.PutString(key);
+    enc.PutString(value);
+  }
+  enc.PutRaw(Bytes(hash_len, 0xab));
+  return enc.TakeBuffer();
+}
+
+TEST(ColumnarBlockTest, NearCanonicalPayloadsRideRaw) {
+  const Bytes canonical =
+      HandEncodedRecord(1, 0, {{"a", "1"}, {"b", "2"}}, 32);
+  auto decoded_canonical = prov::ProvenanceRecord::Decode(canonical);
+  ASSERT_TRUE(decoded_canonical.ok());
+  ASSERT_EQ(decoded_canonical.value().Encode(), canonical);
+
+  Bytes trailing = canonical;
+  trailing.push_back(0x00);
+  const std::map<std::string, Bytes> variants = {
+      {"trailing byte", trailing},
+      {"equal keys", HandEncodedRecord(1, 0, {{"a", "1"}, {"a", "2"}}, 32)},
+      {"descending keys",
+       HandEncodedRecord(1, 0, {{"b", "2"}, {"a", "1"}}, 32)},
+      {"domain 7", HandEncodedRecord(7, 0, {{"a", "1"}, {"b", "2"}}, 32)},
+      {"input count past strings",
+       HandEncodedRecord(1, 1, {{"a", "1"}, {"b", "2"}}, 32)},
+      {"31-byte hash", HandEncodedRecord(1, 0, {{"a", "1"}, {"b", "2"}}, 31)},
+      {"empty payload", Bytes()},
+  };
+  for (const auto& [name, variant] : variants) {
+    SCOPED_TRACE(name);
+    ASSERT_FALSE(prov::ProvenanceRecord::Decode(variant).ok());
+    std::vector<ledger::Transaction> txs;
+    txs.push_back(RecordTx(BaseRecord(0)));
+    txs.push_back(ledger::Transaction::MakeSystem("prov/record", "prov",
+                                                  variant, 5'000'100, 1));
+    txs.push_back(RecordTx(BaseRecord(1)));
+    txs.push_back(RecordTx(BaseRecord(2)));
+    ledger::Block block = ledger::Block::Make(
+        4, crypto::ZeroDigest(), std::move(txs), 5'000'300, "node-1");
+
+    Bytes frame = columnar::EncodeBlock(block);
+    auto decoded = columnar::DecodeBlock(frame);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value().Encode(), block.Encode());
+    EXPECT_EQ(decoded.value().header.Hash(), block.header.Hash());
+    // The raw lane stores the whole transaction verbatim; the record
+    // columns store no payload verbatim. (The block holds no copy of
+    // `canonical`: the trailing-byte variant contains it.)
+    EXPECT_TRUE(Contains(frame, block.transactions[1].Encode()));
+    for (size_t i = 0; i < block.transactions.size(); ++i) {
+      if (i == 1) continue;
+      EXPECT_FALSE(Contains(frame, block.transactions[i].payload))
+          << "tx " << i;
+    }
+  }
+
+  // Control: the unedited record takes the record columns.
+  ledger::Block control = ledger::Block::Make(
+      4, crypto::ZeroDigest(),
+      {ledger::Transaction::MakeSystem("prov/record", "prov", canonical,
+                                       5'000'100, 1)},
+      5'000'300, "node-1");
+  Bytes frame = columnar::EncodeBlock(control);
+  EXPECT_FALSE(Contains(frame, canonical));
+  auto decoded = columnar::DecodeBlock(frame);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().Encode(), control.Encode());
+}
+
+TEST(ColumnarBlockTest, GoldenBytes) {
+  // Block-frame pin: two record transactions (one with an input, one with
+  // an output and a payload hash), a signed foreign transaction and a
+  // near-canonical record payload, the last two on the raw lane. If this
+  // test fails, the block frame changed and needs a new magic.
+  prov::ProvenanceRecord a;
+  a.record_id = "rec-1";
+  a.domain = prov::Domain::kSupplyChain;
+  a.operation = "create";
+  a.subject = "pkg-9";
+  a.agent = "org-a";
+  a.timestamp = 1000;
+  a.inputs = {"raw-3"};
+  a.fields["batch_number"] = "lot-1";
+  prov::ProvenanceRecord b = a;
+  b.record_id = "rec-2";
+  b.operation = "update";
+  b.timestamp = 1004;
+  b.inputs.clear();
+  b.outputs = {"pkg-9"};
+  b.payload_hash = crypto::Sha256::Hash(ToBytes("pkg-9 v2"));
+  prov::ProvenanceRecord c;
+  c.record_id = "x";
+  Bytes near = c.Encode();
+  near.push_back(0x00);
+  crypto::PrivateKey key = crypto::PrivateKey::FromSeed("golden");
+  std::vector<ledger::Transaction> txs;
+  txs.push_back(ledger::Transaction::MakeSystem("prov/record", "prov",
+                                                a.Encode(), 1000, 1));
+  txs.push_back(ledger::Transaction::MakeSigned(
+      "custody/transfer", "sc", ToBytes("box"), key, 1002, 2));
+  txs.push_back(
+      ledger::Transaction::MakeSystem("prov/record", "prov", near, 1003, 3));
+  txs.push_back(ledger::Transaction::MakeSystem("prov/record", "prov",
+                                                b.Encode(), 1004, 4));
+  ledger::Block block =
+      ledger::Block::Make(3, crypto::Sha256::Hash(ToBytes("prev")),
+                          std::move(txs), 2000, "n-1");
+
+  Bytes frame = columnar::EncodeBlock(block);
+  EXPECT_EQ(HexEncode(frame),
+            "504c434f4c423031030000000000000084fd9bac333ad79154348296204fa7f8"
+            "c537a96e08983e5f73b3f5aca8e8edf7a9596a74601161ff4d20268993459f6d"
+            "d85eee4311f068558db2e8723e0cf9add0070000000000000000000000000000"
+            "030000006e2d31040a0b70726f762f7265636f72640470726f76047265632d06"
+            "6372656174650675706461746504706b672d056f72672d61047261772d0c6261"
+            "7463685f6e756d626572056c6f742d310100000110000000637573746f64792f"
+            "7472616e7366657202000000736303000000626f78ea03000000000000020000"
+            "000000000021000000020a083f525c84939926c17e8030e19695e511eea9ef3c"
+            "ac60b063a978759bc0594100000002e3e70bcd0483a03b145a8335cd9d1dff77"
+            "096c405daf9f87fcdf574a9ae86f71e660140ca60d4d923287eb9bc0d1f783eb"
+            "b5698d17e497050932ff15130a84d10b00000070726f762f7265636f72640400"
+            "000070726f764700000001000000780000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000eb0300000000000003000000000000"
+            "0000000000000000000001d00f02000000010806000002010202010202020304"
+            "05011205010006000600d00f0801070106000001050112000108090009000175"
+            "002de2fedd5eccb0bfb83840eca508941f7cdfa011b8a39083b3a43d2c1328");
+  auto decoded = columnar::DecodeBlock(frame);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().Encode(), block.Encode());
 }
 
 TEST(ColumnarBlockTest, LegacyBlockDecodesThroughSameEntryPoint) {
