@@ -1,7 +1,7 @@
 // Harness: the common/framed_log read path — frame classification
 // (valid / torn / corrupt) over an arbitrary byte buffer, walked exactly the
-// way FileKvStore::ReplaySegment and ChainLog::ScanExisting walk a log file.
-// Trust boundary: raw log files on disk.
+// way ChainLog::ScanExisting walks a log file. Trust boundary: raw log
+// files on disk.
 
 #include "harnesses.h"
 #include "common/crc32.h"

@@ -81,9 +81,7 @@ inline bool WriteScratchFile(const std::string& path, const uint8_t* data,
 void FuzzColumnarBatch(const uint8_t* data, size_t size);
 void FuzzColumnarBlock(const uint8_t* data, size_t size);
 void FuzzRecord(const uint8_t* data, size_t size);
-void FuzzCompress(const uint8_t* data, size_t size);
 void FuzzFramedLog(const uint8_t* data, size_t size);
-void FuzzKvSegment(const uint8_t* data, size_t size);
 void FuzzChainLog(const uint8_t* data, size_t size);
 void FuzzReplication(const uint8_t* data, size_t size);
 void FuzzLineageProof(const uint8_t* data, size_t size);

@@ -2,8 +2,8 @@
 // harness: well-formed canonical encodings (so mutation starts from deep
 // inside the format, not from noise) and the regression *crashers* — byte
 // patterns that triggered real defects fixed in this tree (unbounded
-// count-prefix allocations, implausible LZ raw sizes, non-canonical field
-// maps, trailing wire garbage). tests/fuzz_regression_test.cc replays every
+// count-prefix allocations, non-canonical field maps, trailing wire
+// garbage). tests/fuzz_regression_test.cc replays every
 // file here byte-exactly at each ctest run.
 //
 // Usage: fuzz_make_corpus <corpus_root>   (outputs are checked in)
@@ -18,17 +18,14 @@
 #include "common/clock.h"
 #include "common/codec.h"
 #include "crypto/sha256.h"
-#include "common/compress.h"
 #include "common/fileio.h"
 #include "common/framed_log.h"
-#include "common/rng.h"
 #include "audit/lineage_proof.h"
 #include "ledger/chain.h"
 #include "ledger/chain_log.h"
 #include "prov/columnar.h"
 #include "prov/record.h"
 #include "prov/store.h"
-#include "storage/file_kv_store.h"
 
 namespace provledger {
 namespace {
@@ -156,31 +153,6 @@ void EmitRecord() {
   }
 }
 
-void EmitCompress() {
-  Rng rng(11);
-  Bytes sample;
-  for (int i = 0; i < 64; ++i) {
-    Bytes chunk = ToBytes("sensor-frame-" + std::to_string(i % 7) + "|");
-    sample.insert(sample.end(), chunk.begin(), chunk.end());
-  }
-  auto with_header = [](const Bytes& stream, uint32_t raw_size) {
-    Encoder enc;
-    enc.PutU32(raw_size);
-    enc.PutRaw(stream);
-    return enc.TakeBuffer();
-  };
-  WriteSeed("compress", "roundtrip.bin",
-            with_header(LzCompress(sample),
-                        static_cast<uint32_t>(sample.size())));
-  Bytes dense = rng.NextBytes(256);
-  WriteSeed("compress", "incompressible.bin",
-            with_header(LzCompress(dense), static_cast<uint32_t>(dense.size())));
-  // Declared raw size of ~4 GiB over a 4-byte stream: used to reserve the
-  // whole declared size before the expansion bound rejected it.
-  WriteSeed("compress", "crash-rawsize.bin",
-            with_header(Bytes{0x03, 'a', 'b', 'c'}, 0xFFFFFFFFu));
-}
-
 void EmitFramedLog() {
   Bytes three;
   for (int i = 0; i < 3; ++i) {
@@ -197,41 +169,6 @@ void EmitFramedLog() {
   WriteSeed("framed_log", "corrupt_crc.bin", corrupt);
 }
 
-void EmitKvSegment() {
-  const char* base = std::getenv("TMPDIR");
-  std::string tmpl =
-      std::string(base != nullptr ? base : "/tmp") + "/provledger_seed_XXXXXX";
-  char* dir = ::mkdtemp(tmpl.data());
-  if (dir == nullptr) {
-    std::fprintf(stderr, "make_corpus: mkdtemp failed\n");
-    std::exit(1);
-  }
-  {
-    storage::FileKvStoreOptions options;
-    options.compress = LzCompress;
-    options.decompress = LzDecompress;
-    auto store = storage::FileKvStore::Open(dir, options);
-    if (!store.ok()) std::exit(1);
-    storage::WriteBatch batch;
-    Bytes repetitive;
-    for (int i = 0; i < 40; ++i) {
-      Bytes chunk = ToBytes("blob-chunk-" + std::to_string(i % 3));
-      repetitive.insert(repetitive.end(), chunk.begin(), chunk.end());
-    }
-    batch.Put("block/1", repetitive);       // compresses -> compressed frame
-    batch.Put("meta/head", ToBytes("1"));
-    if (!store.value()->Write(batch).ok()) std::exit(1);
-    Rng rng(5);
-    if (!store.value()->Put("dense", rng.NextBytes(48)).ok()) std::exit(1);
-    if (!store.value()->Delete("meta/head").ok()) std::exit(1);
-  }
-  auto segment = ReadFileToBytes(std::string(dir) + "/000001.log");
-  if (!segment.ok()) std::exit(1);
-  WriteSeed("kv_segment", "segment.bin", segment.value());
-  ::unlink((std::string(dir) + "/000001.log").c_str());
-  ::rmdir(dir);
-}
-
 void EmitChainLogAndReplication(const std::vector<ledger::Block>& blocks) {
   const char* base = std::getenv("TMPDIR");
   std::string tmpl =
@@ -239,21 +176,19 @@ void EmitChainLogAndReplication(const std::vector<ledger::Block>& blocks) {
   char* dir = ::mkdtemp(tmpl.data());
   if (dir == nullptr) std::exit(1);
   const std::string path = std::string(dir) + "/chain.log";
-  {
-    auto columnar_log = ledger::ChainLog::Open(path);
-    if (!columnar_log.ok()) std::exit(1);
-    ledger::ChainLogOptions legacy_options;
-    legacy_options.columnar_bodies = false;
-    for (size_t i = 0; i < blocks.size(); ++i) {
-      // Mixed-format log: both body forms must replay from one file.
-      if (i % 2 == 0) {
-        if (!columnar_log.value()->Append(blocks[i]).ok()) std::exit(1);
-      } else {
-        auto legacy_log = ledger::ChainLog::Open(path, legacy_options);
-        if (!legacy_log.ok() || !legacy_log.value()->Append(blocks[i]).ok()) {
-          std::exit(1);
-        }
-      }
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    // Mixed-format log: both body forms must replay from one file. The log
+    // writes columnar bodies; the legacy frames are appended by hand, as a
+    // pre-columnar writer framed raw Block::Encode() bodies.
+    if (i % 2 == 0) {
+      auto log = ledger::ChainLog::Open(path);
+      if (!log.ok() || !log.value()->Append(blocks[i]).ok()) std::exit(1);
+    } else {
+      auto log_bytes = ReadFileToBytes(path);
+      if (!log_bytes.ok()) std::exit(1);
+      const Bytes frame = BuildFrame(blocks[i].Encode());
+      log_bytes->insert(log_bytes->end(), frame.begin(), frame.end());
+      if (!WriteFileAtomic(path, log_bytes.value()).ok()) std::exit(1);
     }
   }
   auto log_bytes = ReadFileToBytes(path);
@@ -466,9 +401,7 @@ int main(int argc, char** argv) {
   EmitColumnarBatch();
   EmitColumnarBlock(blocks[0]);
   EmitRecord();
-  EmitCompress();
   EmitFramedLog();
-  EmitKvSegment();
   EmitChainLogAndReplication(blocks);
   EmitLineageProof();
   EmitStoreSnapshot();

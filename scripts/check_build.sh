@@ -35,8 +35,8 @@ ctest_tree "$BUILD"
 ctest_tree "$BUILD" -L recovery
 # Multi-node cluster convergence gets the same treatment.
 ctest_tree "$BUILD" -L replication
-# Columnar/varint/compression codec coverage: the bit-identical round-trip
-# invariant and the versioned block frames.
+# Columnar/varint codec coverage: the bit-identical round-trip invariant
+# and the versioned block frames.
 ctest_tree "$BUILD" -L encoding
 # Deterministic fuzz pass: corpus replay + bounded mutation loop on every
 # harness (the corpus crash-* files are the decoder-bug regression suite).

@@ -7,8 +7,6 @@
 #                           AnchorBatch; query latency under write load
 #   BENCH_replication.json — 4-node cluster ingest per consensus engine,
 #                           replication overhead/record, catch-up vs lag
-#   BENCH_encoding.json   — IoT-scale sensor ingest: columnar vs raw block
-#                           bodies on disk and on the replication wire
 #   BENCH_audit.json      — lineage proof size/build/verify by ancestry
 #                           depth; continuous auditor vs live ingest
 #
@@ -25,7 +23,7 @@ BUILD="$ROOT/build-release"
 RECORDS="${1:-100000}"
 
 BENCHES=(bench_graph_scale bench_query_api bench_recovery bench_concurrent
-         bench_replication bench_iot_ingest bench_audit)
+         bench_replication bench_audit)
 
 configure_tree "$BUILD" Release \
   -DPROVLEDGER_BUILD_BENCHES=ON \
@@ -48,6 +46,5 @@ run_bench bench_query_api "$ROOT/BENCH_query.json" "$RECORDS"
 run_bench bench_recovery "$ROOT/BENCH_recovery.json" "$RECORDS"
 run_bench bench_concurrent "$ROOT/BENCH_concurrent.json" "$RECORDS"
 run_bench bench_replication "$ROOT/BENCH_replication.json" "$RECORDS"
-run_bench bench_iot_ingest "$ROOT/BENCH_encoding.json" "$((RECORDS * 2))"
 # Proof depths go to 1024, so keep at least a few thousand ancestors.
 run_bench bench_audit "$ROOT/BENCH_audit.json" "$((RECORDS / 5))"

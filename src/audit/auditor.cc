@@ -1,7 +1,5 @@
 #include "audit/auditor.h"
 
-#include <dirent.h>
-
 #include <algorithm>
 #include <chrono>
 #include <utility>
@@ -16,12 +14,12 @@ namespace audit {
 
 namespace {
 
-/// Chain-log / kv-segment per-frame checks shared by the offline audits.
-void AddFrameFinding(AuditReport* report, AuditSource source,
-                     const std::string& segment, uint64_t offset,
-                     uint64_t frame_index, const std::string& what) {
+/// A per-frame finding of the offline chain-log audit.
+void AddFrameFinding(AuditReport* report, const std::string& segment,
+                     uint64_t offset, uint64_t frame_index,
+                     const std::string& what) {
   AuditFinding finding;
-  finding.source = source;
+  finding.source = AuditSource::kChainLog;
   finding.segment = segment;
   finding.offset = offset;
   finding.detail = "frame " + std::to_string(frame_index) + ": " + what;
@@ -55,21 +53,6 @@ void CheckBlockRecords(const ledger::Block& block, const std::string& segment,
   }
 }
 
-std::vector<std::string> ListSegmentFiles(const std::string& dir) {
-  std::vector<std::string> names;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return names;
-  while (struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".log") == 0) {
-      names.push_back(name);
-    }
-  }
-  ::closedir(d);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 }  // namespace
 
 const char* AuditSourceName(AuditSource source) {
@@ -88,8 +71,6 @@ const char* AuditSourceName(AuditSource source) {
       return "columnar-codec";
     case AuditSource::kChainLog:
       return "chain-log";
-    case AuditSource::kKvSegment:
-      return "kv-segment";
   }
   return "unknown";
 }
@@ -168,12 +149,10 @@ ContinuousAuditor::BlockCheck ContinuousAuditor::AuditBlock(
       store_ != nullptr ? &store_->options().channel : nullptr;
   for (size_t j = 0; j < b.transactions.size(); ++j) {
     const ledger::Transaction& tx = b.transactions[j];
-    if (options_.verify_signatures) {
-      Status sig = tx.VerifySignature();
-      if (!sig.ok()) {
-        add(AuditSource::kSignature, static_cast<int32_t>(j), "",
-            sig.message());
-      }
+    Status sig = tx.VerifySignature();
+    if (!sig.ok()) {
+      add(AuditSource::kSignature, static_cast<int32_t>(j), "",
+          sig.message());
     }
     if (tx.type != "prov/record") continue;
     auto rec = prov::ProvenanceRecord::Decode(tx.payload);
@@ -194,7 +173,7 @@ ContinuousAuditor::BlockCheck ContinuousAuditor::AuditBlock(
     }
   }
 
-  if (options_.check_columnar && !out.records.empty()) {
+  if (!out.records.empty()) {
     std::vector<prov::ProvenanceRecord> batch;
     batch.reserve(out.records.size());
     for (const auto& entry : out.records) batch.push_back(entry.second);
@@ -241,7 +220,7 @@ AuditReport ContinuousAuditor::RunPass() {
   // round-tripped against an epoch that already includes it.
   uint64_t limit = view->height();
   std::shared_ptr<const prov::GraphSnapshot> snap;
-  if (store_ != nullptr && options_.check_store) {
+  if (store_ != nullptr) {
     snap = store_->AcquireSnapshot();
     if (snap != nullptr) {
       report.epoch = snap->epoch();
@@ -421,7 +400,7 @@ AuditReport ContinuousAuditor::AuditChainLogFile(const std::string& path) {
     size_t payload_len = 0;
     FrameScan scan = ScanFrameAt(buf, pos, &payload_len);
     if (scan == FrameScan::kTorn) {
-      AddFrameFinding(&report, AuditSource::kChainLog, path, pos, frame_index,
+      AddFrameFinding(&report, path, pos, frame_index,
                       "torn tail frame (crash artifact; recoverable)");
       break;
     }
@@ -429,8 +408,7 @@ AuditReport ContinuousAuditor::AuditChainLogFile(const std::string& path) {
                   buf.begin() + pos + kFrameHeaderBytes + payload_len);
     auto block = prov::columnar::DecodeBlock(payload);
     if (scan == FrameScan::kCorrupt) {
-      AddFrameFinding(&report, AuditSource::kChainLog, path, pos, frame_index,
-                      "crc mismatch");
+      AddFrameFinding(&report, path, pos, frame_index, "crc mismatch");
       // Best-effort localization inside the damaged frame: the payload
       // often still decodes structurally, pointing at the block/tx whose
       // bytes changed.
@@ -448,7 +426,7 @@ AuditReport ContinuousAuditor::AuditChainLogFile(const std::string& path) {
         CheckBlockRecords(*block, path, pos, &report.findings);
       }
     } else if (!block.ok()) {
-      AddFrameFinding(&report, AuditSource::kChainLog, path, pos, frame_index,
+      AddFrameFinding(&report, path, pos, frame_index,
                       "block does not decode: " + block.status().message());
     } else {
       ++report.blocks_audited;
@@ -494,54 +472,6 @@ AuditReport ContinuousAuditor::AuditChainLogFile(const std::string& path) {
     ++frame_index;
   }
   report.head_height = prev_height;
-  return report;
-}
-
-AuditReport ContinuousAuditor::AuditKvSegmentDir(const std::string& dir) {
-  AuditReport report;
-  const std::vector<std::string> segments = ListSegmentFiles(dir);
-  if (segments.empty()) {
-    AuditFinding finding;
-    finding.source = AuditSource::kKvSegment;
-    finding.segment = dir;
-    finding.detail = "no .log segments found";
-    report.findings.push_back(std::move(finding));
-    return report;
-  }
-  for (const auto& name : segments) {
-    const std::string path = dir + "/" + name;
-    auto data = ReadFileToBytes(path);
-    if (!data.ok()) {
-      AuditFinding finding;
-      finding.source = AuditSource::kKvSegment;
-      finding.segment = name;
-      finding.detail = data.status().ToString();
-      report.findings.push_back(std::move(finding));
-      continue;
-    }
-    const Bytes& buf = data.value();
-    size_t pos = 0;
-    uint64_t frame_index = 0;
-    while (pos < buf.size()) {
-      size_t payload_len = 0;
-      FrameScan scan = ScanFrameAt(buf, pos, &payload_len);
-      if (scan == FrameScan::kTorn) {
-        AddFrameFinding(&report, AuditSource::kKvSegment, name, pos,
-                        frame_index,
-                        "torn tail frame (crash artifact; recoverable)");
-        break;
-      }
-      if (scan == FrameScan::kCorrupt) {
-        AddFrameFinding(&report, AuditSource::kKvSegment, name, pos,
-                        frame_index, "crc mismatch");
-      }
-      // Frames verified (valid or damaged) are tallied as "blocks" for
-      // lack of a better unit — the kv layer has no block concept.
-      ++report.blocks_audited;
-      pos += kFrameHeaderBytes + payload_len;
-      ++frame_index;
-    }
-  }
   return report;
 }
 

@@ -18,8 +18,8 @@
 //     in, and byte-identical to, the published snapshot)
 //
 // Every violation becomes a structured AuditFinding that localizes the
-// damage — block height, transaction index, record id, or artifact
-// segment + byte offset — instead of a bare Corruption (the issues+
+// damage — block height, transaction index, record id, or chain-log file +
+// byte offset — instead of a bare Corruption (the issues+
 // confidence reporting surface of the provenance-integrity literature).
 //
 // Thread safety: RunPass()/Start()/Stop()/Rewind() are serialized
@@ -55,7 +55,6 @@ enum class AuditSource : uint8_t {
   kStoreIndex = 4,     // chain record vs snapshot round-trip mismatch
   kColumnarCodec = 5,  // columnar batch round-trip not bit-identical
   kChainLog = 6,       // durable chain-log frame (offline audit)
-  kKvSegment = 7,      // durable kv segment frame (offline audit)
 };
 
 const char* AuditSourceName(AuditSource source);
@@ -69,7 +68,7 @@ struct AuditFinding {
   int32_t tx_index = -1;
   /// Record id, when the damage localizes to one record.
   std::string record_id;
-  /// Artifact file for offline (chain log / kv segment) findings.
+  /// Chain-log file for offline findings.
   std::string segment;
   /// Byte offset of the damaged frame within `segment`.
   uint64_t offset = 0;
@@ -105,12 +104,6 @@ struct ContinuousAuditorOptions {
   /// Cap on blocks verified per pass — the incremental-work knob that
   /// bounds how long a pass can hold the calling thread.
   size_t max_blocks_per_pass = 64;
-  bool verify_signatures = true;
-  /// Round-trip each on-chain record against the snapshot epoch.
-  bool check_store = true;
-  /// Re-encode/decode each block's records through the columnar codec and
-  /// require bit-identity.
-  bool check_columnar = true;
   /// Fan per-block chain checks out over common::ThreadPool::Shared()
   /// (one chunk runs inline). 0 or 1 = all inline on the calling thread.
   size_t parallelism = 0;
@@ -135,8 +128,8 @@ class ContinuousAuditor {
   ContinuousAuditor& operator=(const ContinuousAuditor&) = delete;
 
   /// One incremental pass over at most max_blocks_per_pass blocks past
-  /// the cursor, capped at the snapshot epoch's height when store checks
-  /// are on (so chain and store are always compared at the same instant).
+  /// the cursor, capped at the snapshot epoch's height when a store is
+  /// attached (so chain and store are always compared at the same instant).
   /// Advances the cursor past every block that produced no finding; a
   /// block with findings is not re-audited either — the cursor records
   /// it as covered, the findings record the damage.
@@ -179,18 +172,12 @@ class ContinuousAuditor {
   /// reporting channel). Safe from any thread.
   std::vector<AuditFinding> TakeFindings() PROV_EXCLUDES(findings_mu_);
 
-  /// \name Offline artifact audits (static one-shots).
-  /// Frame-by-frame verification of durable files, localizing damage to
-  /// segment + byte offset + frame index — and, when a damaged chain-log
-  /// frame still decodes, down to block/tx.
-  /// @{
-  /// Audit a ChainLog file: CRC every frame, decode every block (legacy
-  /// or columnar body), re-check header continuity, Merkle roots, and
-  /// record canonicality.
+  /// Offline one-shot audit of a ChainLog file, frame by frame: CRC every
+  /// frame, decode every block (legacy or columnar body), re-check header
+  /// continuity, Merkle roots, and record canonicality. Damage localizes
+  /// to file + byte offset + frame index — and, when a damaged frame still
+  /// decodes, down to block/tx.
   static AuditReport AuditChainLogFile(const std::string& path);
-  /// Audit every *.log segment of a FileKvStore directory (CRC frames).
-  static AuditReport AuditKvSegmentDir(const std::string& dir);
-  /// @}
 
  private:
   /// Chain-side checks for the block at `height` in `view`; decoded

@@ -1,9 +1,8 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) for storage-record framing.
 //
-// Every on-disk log record in the durable storage layer (FileKvStore
-// segments, the ledger ChainLog) carries a CRC over its payload so torn or
-// bit-rotted tail records are detected at reopen instead of being replayed
-// as garbage. CRC is the right tool here: it is cheap, and integrity against
+// Every on-disk log record in the durable storage layer (the ledger
+// ChainLog) carries a CRC over its payload so torn or bit-rotted tail
+// records are detected at reopen instead of being replayed as garbage. CRC is the right tool here: it is cheap, and integrity against
 // an *adversary* is already covered one layer up by the hash chain and
 // Merkle roots — the CRC only needs to catch accidental corruption.
 //

@@ -81,11 +81,15 @@ Status WriteFileAtomic(const std::string& path, const Bytes& data) {
     return s;
   }
   // Make the rename itself durable.
-  int dirfd = ::open(ParentDir(path).c_str(), O_RDONLY);
-  if (dirfd >= 0) {
-    ::fsync(dirfd);
+  const std::string dir = ParentDir(path);
+  int dirfd = ::open(dir.c_str(), O_RDONLY);
+  if (dirfd < 0) return Errno("open", dir);
+  if (::fsync(dirfd) != 0) {
+    Status s = Errno("fsync", dir);
     ::close(dirfd);
+    return s;
   }
+  ::close(dirfd);
   return Status::OK();
 }
 

@@ -1,8 +1,8 @@
 // Whole-file I/O helpers for the durable storage layer: crash-safe atomic
 // file replacement (write temp + fsync + rename + directory fsync) and
-// slurping a file into a Bytes buffer. Log-structured writers (FileKvStore,
-// ChainLog) keep their own fd-level append paths; these helpers serve the
-// write-rarely artifacts such as provenance snapshots.
+// slurping a file into a Bytes buffer. The log-structured ChainLog keeps
+// its own fd-level append path; these helpers serve the write-rarely
+// artifacts such as provenance snapshots.
 //
 // Thread safety: free functions — safe to call concurrently on distinct
 // paths; concurrent writers to one path need external coordination.
@@ -19,7 +19,8 @@ namespace provledger {
 /// \brief Atomically replace `path` with `data`: the bytes are written to a
 /// temp file in the same directory, fsync'd, renamed over `path`, and the
 /// directory entry is fsync'd. Readers see either the old file or the whole
-/// new one, never a torn mix.
+/// new one, never a torn mix. An error from any step, the directory open
+/// and fsync included, is returned: the rename is not known durable.
 Status WriteFileAtomic(const std::string& path, const Bytes& data);
 
 /// \brief Read the whole file at `path`. NotFound when it does not exist.

@@ -1,6 +1,6 @@
-// CRC-framed append-only log records, shared by the FileKvStore segments
-// and the ledger ChainLog so the torn-vs-corrupt recovery policy is
-// single-sourced:
+// CRC-framed append-only log records, shared by the ledger ChainLog's
+// writer and reader and the offline chain-log audit so the torn-vs-corrupt
+// recovery policy is single-sourced:
 //
 //   [u32 payload_len][u32 crc32(payload)][payload]
 //

@@ -5,7 +5,7 @@ namespace contracts {
 
 ContractContext::ContractContext(const std::string& contract,
                                  const std::string& caller, Timestamp now,
-                                 storage::KvStore* state,
+                                 storage::MemKvStore* state,
                                  const GasSchedule& schedule,
                                  uint64_t gas_limit)
     : contract_(contract),
@@ -64,7 +64,7 @@ Status ContractContext::EmitEvent(const std::string& name,
   return Status::OK();
 }
 
-Status ContractContext::CommitTo(storage::KvStore* state) {
+Status ContractContext::CommitTo(storage::MemKvStore* state) {
   storage::WriteBatch batch;
   for (const auto& [key, value] : overlay_) {
     if (value.has_value()) {

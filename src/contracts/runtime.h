@@ -45,7 +45,7 @@ struct GasSchedule {
 class ContractContext {
  public:
   ContractContext(const std::string& contract, const std::string& caller,
-                  Timestamp now, storage::KvStore* state,
+                  Timestamp now, storage::MemKvStore* state,
                   const GasSchedule& schedule, uint64_t gas_limit);
 
   /// Namespaced state read.
@@ -65,7 +65,7 @@ class ContractContext {
 
   /// Runtime internals.
   Status Charge(uint64_t amount);
-  Status CommitTo(storage::KvStore* state);
+  Status CommitTo(storage::MemKvStore* state);
   const std::vector<Event>& events() const { return events_; }
 
  private:
@@ -74,7 +74,7 @@ class ContractContext {
   std::string contract_;
   std::string caller_;
   Timestamp now_;
-  storage::KvStore* state_;
+  storage::MemKvStore* state_;
   GasSchedule schedule_;
   uint64_t gas_limit_;
   uint64_t gas_used_ = 0;
@@ -119,7 +119,7 @@ class ContractRuntime {
   /// All events emitted by successful invocations, in order.
   const std::vector<Event>& event_log() const { return event_log_; }
   /// Direct (read-only) state access for tests and auditors.
-  const storage::KvStore& state() const { return state_; }
+  const storage::MemKvStore& state() const { return state_; }
 
  private:
   Clock* clock_;

@@ -130,9 +130,7 @@ Status Blockchain::ValidateBlock(const Block& block, const Block& parent,
     if (!tx.IsSigned() && !options_.allow_unsigned) {
       return Status::PermissionDenied("unsigned transactions not allowed");
     }
-    if (options_.verify_signatures) {
-      PROVLEDGER_RETURN_NOT_OK(tx.VerifySignature());
-    }
+    PROVLEDGER_RETURN_NOT_OK(tx.VerifySignature());
   }
   return Status::OK();
 }
@@ -418,13 +416,11 @@ Status Blockchain::VerifyIntegrity() const {
                                   std::to_string(h));
       }
     }
-    if (options_.verify_signatures) {
-      for (const auto& tx : b.transactions) {
-        Status s = tx.VerifySignature();
-        if (!s.ok()) {
-          return Status::Corruption("bad signature at height " +
-                                    std::to_string(h) + ": " + s.message());
-        }
+    for (const auto& tx : b.transactions) {
+      Status s = tx.VerifySignature();
+      if (!s.ok()) {
+        return Status::Corruption("bad signature at height " +
+                                  std::to_string(h) + ": " + s.message());
       }
     }
   }
@@ -462,9 +458,7 @@ Status Mempool::Add(const Transaction& tx) {
   if (seen_.count(id)) {
     return Status::AlreadyExists("transaction already in mempool");
   }
-  if (verify_signatures_) {
-    PROVLEDGER_RETURN_NOT_OK(tx.VerifySignature());
-  }
+  PROVLEDGER_RETURN_NOT_OK(tx.VerifySignature());
   seen_.insert(id);
   queue_.emplace_back(id, tx);
   return Status::OK();

@@ -31,8 +31,6 @@ struct ChainOptions {
   /// Human-readable chain identity; hashed into the genesis block so two
   /// chains with different ids never share block hashes.
   std::string chain_id = "provledger";
-  /// Verify transaction signatures on block submission.
-  bool verify_signatures = true;
   /// Accept unsigned (system) transactions.
   bool allow_unsigned = true;
   /// Maximum transactions per block (0 = unlimited).
@@ -366,9 +364,6 @@ class Blockchain {
 /// \brief FIFO mempool with id-dedup and signature pre-validation.
 class Mempool {
  public:
-  explicit Mempool(bool verify_signatures = true)
-      : verify_signatures_(verify_signatures) {}
-
   /// Queue a transaction; AlreadyExists on duplicate id.
   Status Add(const Transaction& tx);
   /// Pop up to `max_count` transactions in arrival order (0 = all).
@@ -377,7 +372,6 @@ class Mempool {
   bool empty() const { return queue_.empty(); }
 
  private:
-  bool verify_signatures_;
   // (id, transaction) in arrival order; the id is kept so Take never
   // re-hashes.
   std::deque<std::pair<crypto::Digest, Transaction>> queue_;

@@ -91,17 +91,29 @@ Status ChainLog::ScanExisting() {
   return Status::OK();
 }
 
+Status ChainLog::Refused() const {
+  return Status::FailedPrecondition(
+      "chain log " + path_ + " refuses writes after an earlier I/O error (" +
+      failed_.message() + "); reopen it to recover");
+}
+
 Status ChainLog::Append(const Block& block) {
+  if (!failed_.ok()) return Refused();
   obs::ScopedTimer timer(append_seconds_);
-  Bytes frame = BuildFrame(options_.columnar_bodies
-                               ? prov::columnar::EncodeBlock(block)
-                               : block.Encode());
+  Bytes frame = BuildFrame(prov::columnar::EncodeBlock(block));
   Status written = WriteAllFd(fd_, frame.data(), frame.size(), path_);
   if (written.ok() && options_.sync_writes && ::fsync(fd_) != 0) {
     written = ErrnoStatus("fsync", path_);
   }
   if (!written.ok()) {
-    ::ftruncate(fd_, static_cast<off_t>(size_));  // drop the partial frame
+    // Drop the partial frame, then stop: see the fail-stop note in the
+    // header.
+    if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
+      Status truncated = ErrnoStatus("ftruncate", path_);
+      written = Status::Unavailable(written.message() + "; " +
+                                    truncated.message());
+    }
+    failed_ = written;
     return written;
   }
   size_ += frame.size();
@@ -123,7 +135,7 @@ Status ChainLog::Replay(Blockchain* chain) {
     Bytes encoded(buf.begin() + pos + kFrameHeaderBytes,
                   buf.begin() + pos + kFrameHeaderBytes + payload_len);
     // DecodeBlock sniffs the columnar magic and falls back to the legacy
-    // body format, so old logs replay no matter how this log is configured.
+    // body format, so logs written before the columnar form still replay.
     PROVLEDGER_ASSIGN_OR_RETURN(Block block,
                                 prov::columnar::DecodeBlock(encoded));
     Status submitted = chain->SubmitBlock(block);
@@ -158,7 +170,11 @@ Status ChainLog::AttachTo(Blockchain* chain) {
 }
 
 Status ChainLog::Sync() {
-  if (::fsync(fd_) != 0) return ErrnoStatus("fsync", path_);
+  if (!failed_.ok()) return Refused();
+  if (::fsync(fd_) != 0) {
+    failed_ = ErrnoStatus("fsync", path_);
+    return failed_;
+  }
   return Status::OK();
 }
 

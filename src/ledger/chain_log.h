@@ -4,16 +4,26 @@
 // (SciChain-style "the chain survives, everything else is an index").
 //
 // On-disk format: one framed record per block —
-//   [u32 encoded_len][u32 crc32(encoding)][Block::Encode() bytes]
+//   [u32 encoded_len][u32 crc32(encoding)][columnar block body]
 // — fsync'd on append (write-ahead of the in-memory chain mutation when
-// attached as the chain's block sink). The genesis block is never logged:
-// it is derived deterministically from ChainOptions::chain_id, so a log
-// written under one chain id refuses to replay onto a chain with another
-// (the first block's prev_hash will not match).
+// attached as the chain's block sink). The body is prov/columnar.h's block
+// form; replay also accepts legacy Block::Encode() bodies, which carry no
+// columnar magic, so logs written before the columnar form still reload.
+// The genesis block is never logged: it is derived deterministically from
+// ChainOptions::chain_id, so a log written under one chain id refuses to
+// replay onto a chain with another (the first block's prev_hash will not
+// match).
 //
 // Replay goes through Blockchain::SubmitBlock, i.e. every reloaded block is
 // re-validated in full (hash links, Merkle roots, signatures, fork choice).
 // A restart is therefore also a re-audit of the persisted ledger.
+//
+// Fail-stop: the first failed write or fsync poisons the instance (when
+// dropping the partial frame fails too, that ftruncate error is added).
+// After a failed fsync the kernel may already have dropped the dirty
+// pages, so what reached the disk is unknown; every later Append or Sync
+// returns FailedPrecondition naming that first error, until the log is
+// reopened (Open rescans the file and truncates a torn tail).
 //
 // Thread safety: NOT internally synchronized — one ChainLog instance per log
 // file, driven by a single owner (the chain's commit path).
@@ -34,12 +44,6 @@ struct ChainLogOptions {
   /// fsync after every appended block. Turning it off batches durability
   /// into explicit Sync() calls (bulk-ingest benchmarking).
   bool sync_writes = true;
-  /// Persist block bodies in the columnar form (prov/columnar.h): record
-  /// payloads stored once through the record columns instead of per-record
-  /// canonical bytes. Replay handles both forms regardless — the columnar
-  /// body carries its own magic — so logs written either way reload on any
-  /// setting, and mixed logs (format flipped mid-life) are fine.
-  bool columnar_bodies = true;
   /// Metric registry for the append timer, replay progress counter, and
   /// log-size gauge (nullptr = obs::Registry::Default()).
   obs::Registry* registry = nullptr;
@@ -59,7 +63,8 @@ class ChainLog {
   ChainLog(const ChainLog&) = delete;
   ChainLog& operator=(const ChainLog&) = delete;
 
-  /// Persist one block (framed append + optional fsync).
+  /// Persist one block (framed append + optional fsync). FailedPrecondition
+  /// once an earlier write or fsync has failed.
   Status Append(const Block& block);
 
   /// Decode every logged block, in log order, and submit it to `chain`
@@ -74,7 +79,8 @@ class ChainLog {
   /// backfilled into the log first; side-branch blocks are not.
   Status AttachTo(Blockchain* chain);
 
-  /// Force buffered bytes to stable storage.
+  /// Force buffered bytes to stable storage. A failed fsync poisons the
+  /// log like a failed Append.
   Status Sync();
 
   /// Blocks currently persisted in the log.
@@ -89,6 +95,8 @@ class ChainLog {
 
   /// Scan existing frames, set size_/block_count_, truncate a torn tail.
   Status ScanExisting();
+  /// What Append and Sync return once failed_ is set.
+  Status Refused() const;
 
   std::string path_;
   ChainLogOptions options_;
@@ -96,6 +104,8 @@ class ChainLog {
   uint64_t size_ = 0;
   size_t block_count_ = 0;
   bool recovered_torn_write_ = false;
+  // The first I/O error; once set, Append and Sync refuse.
+  Status failed_;
   // Cached registry cells (resolved once in the constructor).
   obs::Histogram* append_seconds_;
   obs::Counter* replay_blocks_total_;

@@ -15,7 +15,6 @@ ReplicatedNodeOptions Cluster::MakeNodeOptions(network::NodeId id) const {
   node_options.store = options_.store;
   node_options.name = "node-" + std::to_string(id);
   node_options.catch_up_batch_blocks = options_.catch_up_batch_blocks;
-  node_options.columnar_wire = options_.columnar_wire;
   node_options.registry = registries_[id].get();
   if (!options_.data_dir.empty()) {
     node_options.data_dir = options_.data_dir + "/" + node_options.name;

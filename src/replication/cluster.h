@@ -44,9 +44,6 @@ struct ClusterOptions {
   /// `<data_dir>/node-<i>/` (chain.log + store.snap) and can crash/restart.
   std::string data_dir;
   size_t catch_up_batch_blocks = 32;
-  /// Ship block bodies over the replication wire in the columnar form
-  /// (see ReplicatedNodeOptions::columnar_wire).
-  bool columnar_wire = true;
 };
 
 /// \brief Cluster-level commit counters (consensus cost is per batch;

@@ -120,9 +120,7 @@ Status ReplicatedNode::ProposeBatch(
   ++metrics_.blocks_proposed;
   const ledger::Block* head = chain_.PeekBlock(chain_.height());
   if (net_ != nullptr && head != nullptr) {
-    net_->Broadcast(id_, kMsgBlock,
-                    options_.columnar_wire ? prov::columnar::EncodeBlock(*head)
-                                           : head->Encode());
+    net_->Broadcast(id_, kMsgBlock, prov::columnar::EncodeBlock(*head));
   }
   return Status::OK();
 }
@@ -301,8 +299,7 @@ void ReplicatedNode::HandlePull(const network::Message& message) {
   enc.PutU64(chain_.height());
   enc.PutU32(static_cast<uint32_t>(blocks.size()));
   for (const ledger::Block* block : blocks) {
-    enc.PutBytes(options_.columnar_wire ? prov::columnar::EncodeBlock(*block)
-                                        : block->Encode());
+    enc.PutBytes(prov::columnar::EncodeBlock(*block));
   }
   metrics_.blocks_served += blocks.size();
   net_->Send(id_, message.from, kMsgBlocks, enc.TakeBuffer());

@@ -2,7 +2,9 @@
 // ProvenanceStore + optional ChainLog/snapshot durability) speaking the
 // block-replication protocol over network::SimNetwork.
 //
-// Protocol (all payloads use the canonical codec):
+// Protocol (all payloads use the canonical codec; block bodies travel in
+// the columnar form of prov/columnar.h, and receivers also accept legacy
+// Block::Encode() bodies, so older peers interoperate):
 //   repl/block   — a freshly committed block, broadcast by its proposer;
 //                  followers fully re-validate via Blockchain::SubmitBlock
 //                  and index its records into their own store.
@@ -68,12 +70,6 @@ struct ReplicatedNodeOptions {
   std::string name = "node";
   /// Max blocks served per repl/pull response (ranged catch-up stride).
   size_t catch_up_batch_blocks = 32;
-  /// Ship repl/block and repl/blocks bodies in the columnar form
-  /// (prov/columnar.h) instead of raw Block::Encode() bytes. Decoding is
-  /// format-sniffing either way, so mixed-setting clusters interoperate;
-  /// received blocks are re-validated in full by SubmitBlock regardless of
-  /// how they traveled.
-  bool columnar_wire = true;
   /// Metric registry this node's whole stack reports into (nullptr =
   /// obs::Registry::Default()). A repl/metrics scrape serializes exactly
   /// this registry, so multi-node-per-process tests should give each node

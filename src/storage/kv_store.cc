@@ -17,28 +17,6 @@ void WriteBatch::Delete(const std::string& key) {
 
 void WriteBatch::Clear() { ops_.clear(); }
 
-namespace {
-class MemKvIterator : public KvIterator {
- public:
-  explicit MemKvIterator(std::shared_ptr<const std::map<std::string, Bytes>>
-                             snapshot)
-      : snapshot_(std::move(snapshot)), it_(snapshot_->begin()) {}
-
-  void Seek(const std::string& target) override {
-    it_ = snapshot_->lower_bound(target);
-  }
-  void SeekToFirst() override { it_ = snapshot_->begin(); }
-  bool Valid() const override { return it_ != snapshot_->end(); }
-  void Next() override { ++it_; }
-  const std::string& key() const override { return it_->first; }
-  const Bytes& value() const override { return it_->second; }
-
- private:
-  std::shared_ptr<const std::map<std::string, Bytes>> snapshot_;
-  std::map<std::string, Bytes>::const_iterator it_;
-};
-}  // namespace
-
 MemKvStore::Map& MemKvStore::Mutable() {
   // A use count above one means a live snapshot iterator still pins the
   // current map: detach by copying once, and mutate the private copy.
@@ -88,18 +66,18 @@ Status MemKvStore::Write(const WriteBatch& batch) {
   return Status::OK();
 }
 
-std::unique_ptr<KvIterator> MemKvStore::NewIterator() const {
+MemKvIterator MemKvStore::NewIterator() const {
   // O(1): the iterator shares the current map; the next mutation detaches.
-  return std::make_unique<MemKvIterator>(map_);
+  return MemKvIterator(map_);
 }
 
 std::vector<std::pair<std::string, Bytes>> ScanPrefix(
-    const KvStore& store, const std::string& prefix) {
+    const MemKvStore& store, const std::string& prefix) {
   std::vector<std::pair<std::string, Bytes>> out;
-  auto it = store.NewIterator();
-  for (it->Seek(prefix); it->Valid(); it->Next()) {
-    if (it->key().compare(0, prefix.size(), prefix) != 0) break;
-    out.emplace_back(it->key(), it->value());
+  MemKvIterator it = store.NewIterator();
+  for (it.Seek(prefix); it.Valid(); it.Next()) {
+    if (it.key().compare(0, prefix.size(), prefix) != 0) break;
+    out.emplace_back(it.key(), it.value());
   }
   return out;
 }

@@ -1,8 +1,6 @@
-// Ordered key-value store abstraction (RocksDB-flavoured): Put/Get/Delete,
-// atomic WriteBatch application, and ordered iteration. The ledger block
-// index, provenance indexes, and access-control state all sit on this
-// interface, so an embedded LSM engine could be swapped in without touching
-// the layers above.
+// In-memory ordered key-value store (RocksDB-flavoured): Put/Get/Delete,
+// atomic WriteBatch application, and ordered snapshot iteration. The
+// contract runtime keeps its state here (contracts/runtime.h).
 
 #ifndef PROVLEDGER_STORAGE_KV_STORE_H_
 #define PROVLEDGER_STORAGE_KV_STORE_H_
@@ -19,7 +17,7 @@ namespace provledger {
 namespace storage {
 
 /// \brief A buffered sequence of writes applied atomically
-/// (all-or-nothing) by KvStore::Write.
+/// (all-or-nothing) by MemKvStore::Write.
 class WriteBatch {
  public:
   void Put(const std::string& key, Bytes value);
@@ -42,35 +40,27 @@ class WriteBatch {
   std::vector<Op> ops_;
 };
 
-/// \brief Forward iterator over an ordered snapshot of the store.
-class KvIterator {
+/// \brief Forward iterator over a point-in-time snapshot of a MemKvStore.
+/// It pins an immutable map generation, so it stays valid and unchanged
+/// across later mutations of the store.
+class MemKvIterator {
  public:
-  virtual ~KvIterator() = default;
+  using Map = std::map<std::string, Bytes>;
+
+  explicit MemKvIterator(std::shared_ptr<const Map> snapshot)
+      : snapshot_(std::move(snapshot)), it_(snapshot_->begin()) {}
+
   /// Position at the first key >= target.
-  virtual void Seek(const std::string& target) = 0;
-  virtual void SeekToFirst() = 0;
-  virtual bool Valid() const = 0;
-  virtual void Next() = 0;
-  virtual const std::string& key() const = 0;
-  virtual const Bytes& value() const = 0;
-};
+  void Seek(const std::string& target) { it_ = snapshot_->lower_bound(target); }
+  void SeekToFirst() { it_ = snapshot_->begin(); }
+  bool Valid() const { return it_ != snapshot_->end(); }
+  void Next() { ++it_; }
+  const std::string& key() const { return it_->first; }
+  const Bytes& value() const { return it_->second; }
 
-/// \brief Ordered KV store interface.
-class KvStore {
- public:
-  virtual ~KvStore() = default;
-
-  virtual Status Put(const std::string& key, Bytes value) = 0;
-  virtual Result<Bytes> Get(const std::string& key) const = 0;
-  virtual Status Delete(const std::string& key) = 0;
-  virtual bool Has(const std::string& key) const = 0;
-  /// Apply a batch atomically.
-  virtual Status Write(const WriteBatch& batch) = 0;
-  /// Ordered iterator over a point-in-time snapshot.
-  virtual std::unique_ptr<KvIterator> NewIterator() const = 0;
-  virtual size_t ApproximateCount() const = 0;
-  /// Total bytes of keys + values (the storage-overhead metric of §6.1).
-  virtual size_t ApproximateBytes() const = 0;
+ private:
+  std::shared_ptr<const Map> snapshot_;
+  Map::const_iterator it_;
 };
 
 /// \brief In-memory ordered store (std::map-backed).
@@ -78,29 +68,31 @@ class KvStore {
 /// Iterators are true point-in-time snapshots, shared copy-on-write: taking
 /// an iterator is O(1) (it pins the current map), and the store only pays a
 /// full copy on the first mutation while a snapshot is still alive. Scan
-/// paths that take many iterators between writes (AuditAll, ScanPrefix) no
-/// longer deep-copy the map per call.
+/// paths that take many iterators between writes (ScanPrefix) never
+/// deep-copy the map per call.
 ///
 /// Thread safety: NOT internally synchronized — one thread (or external
 /// locking) must own the store. An *iterator*, however, is safe to hand to
 /// another thread once taken: it pins an immutable COW map generation that
-/// later mutations never touch (the same property the provenance snapshot
-/// layer builds its reader isolation on).
-class MemKvStore : public KvStore {
+/// later mutations never touch.
+class MemKvStore {
  public:
   MemKvStore() : map_(std::make_shared<Map>()) {}
 
-  Status Put(const std::string& key, Bytes value) override;
-  Result<Bytes> Get(const std::string& key) const override;
-  Status Delete(const std::string& key) override;
-  bool Has(const std::string& key) const override;
-  Status Write(const WriteBatch& batch) override;
-  std::unique_ptr<KvIterator> NewIterator() const override;
-  size_t ApproximateCount() const override { return map_->size(); }
-  size_t ApproximateBytes() const override { return bytes_; }
+  Status Put(const std::string& key, Bytes value);
+  Result<Bytes> Get(const std::string& key) const;
+  Status Delete(const std::string& key);
+  bool Has(const std::string& key) const;
+  /// Apply a batch atomically.
+  Status Write(const WriteBatch& batch);
+  /// Ordered iterator over a point-in-time snapshot.
+  MemKvIterator NewIterator() const;
+  size_t ApproximateCount() const { return map_->size(); }
+  /// Total bytes of keys + values (the storage-overhead metric of §6.1).
+  size_t ApproximateBytes() const { return bytes_; }
 
  private:
-  using Map = std::map<std::string, Bytes>;
+  using Map = MemKvIterator::Map;
 
   /// The map, detached from live snapshots first (copy-on-write).
   Map& Mutable();
@@ -111,8 +103,8 @@ class MemKvStore : public KvStore {
 
 /// \brief All keys in [prefix, prefix-end) as (key, value) pairs — a common
 /// query-service access pattern.
-std::vector<std::pair<std::string, Bytes>> ScanPrefix(const KvStore& store,
-                                                      const std::string& prefix);
+std::vector<std::pair<std::string, Bytes>> ScanPrefix(
+    const MemKvStore& store, const std::string& prefix);
 
 }  // namespace storage
 }  // namespace provledger

@@ -2,10 +2,10 @@
 // adversarial proof decoding (truncation, trailing garbage, swapped
 // sibling steps, wrong roots, smuggled unrelated ancestors, every
 // single-byte mutation), proof round-trips across all seven record
-// domains, tamper localization (live block, chain-log frame, kv segment
-// — each injected via tests/tamper.h and pinned to the exact block/tx or
-// segment/offset), and the auditor-vs-live-ingest convergence run that
-// the TSan gate replays.
+// domains, tamper localization (live block, chain-log frame — each
+// injected via tests/tamper.h and pinned to the exact block/tx or
+// file/offset), and the auditor-vs-live-ingest convergence run that the
+// TSan gate replays.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "ledger/chain_log.h"
 #include "prov/ingest_pipeline.h"
 #include "prov/store.h"
-#include "storage/file_kv_store.h"
 #include "tamper.h"
 #include "temp_dir.h"
 
@@ -516,28 +515,6 @@ TEST_F(AuditorFixture, OfflineChainLogTamperLocalizedToFrame) {
     }
   }
   EXPECT_TRUE(torn_found);
-  testutil::RemoveTree(dir);
-}
-
-TEST_F(AuditorFixture, OfflineKvSegmentTamperLocalized) {
-  const std::string dir = testutil::MakeTempDir();
-  {
-    auto kv = storage::FileKvStore::Open(dir);
-    ASSERT_TRUE(kv.ok());
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(
-          (*kv)->Put("k" + std::to_string(i), Bytes{0x10, uint8_t(i)}).ok());
-    }
-  }
-  EXPECT_TRUE(ContinuousAuditor::AuditKvSegmentDir(dir).clean());
-  auto segment = testutil::CorruptKvSegment(dir, /*payload_offset=*/3);
-  ASSERT_TRUE(segment.ok());
-  AuditReport report = ContinuousAuditor::AuditKvSegmentDir(dir);
-  ASSERT_FALSE(report.clean());
-  EXPECT_EQ(report.findings[0].source, AuditSource::kKvSegment);
-  EXPECT_EQ(report.findings[0].segment, segment.value());
-  EXPECT_NE(report.findings[0].detail.find("crc mismatch"),
-            std::string::npos);
   testutil::RemoveTree(dir);
 }
 

@@ -14,7 +14,6 @@
 #include "common/bytes.h"
 #include "common/clock.h"
 #include "common/codec.h"
-#include "common/compress.h"
 #include "crypto/sha256.h"
 #include "ledger/block.h"
 #include "network/sim_network.h"
@@ -145,43 +144,6 @@ TEST(BlockHardeningTest, RoundTripsRealBlocks) {
   auto decoded = ledger::Block::Decode(block.Encode());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().Encode(), block.Encode());
-}
-
-// ---------------------------------------------------------------------------
-// LzDecompress declared-size bound
-// ---------------------------------------------------------------------------
-
-TEST(CompressHardeningTest, RejectsImplausibleDeclaredRawSize) {
-  // 4-byte stream, ~4 GiB declared: rejected before any allocation. The
-  // densest valid stream expands 2 input bytes into at most 131 output
-  // bytes, so this ratio is unreachable.
-  const Bytes tiny = {0x03, 'a', 'b', 'c'};
-  auto out = LzDecompress(tiny, 0xFFFFFFFFu);
-  ASSERT_FALSE(out.ok());
-  EXPECT_TRUE(out.status().IsCorruption()) << out.status().ToString();
-}
-
-TEST(CompressHardeningTest, MaxExpansionStreamsStillDecode) {
-  // Highly repetitive input sits near the real expansion ceiling; the
-  // plausibility bound must not reject it.
-  Bytes raw(8192, 0xAB);
-  const Bytes compressed = LzCompress(raw);
-  ASSERT_LT(compressed.size(), raw.size());
-  auto back = LzDecompress(compressed, raw.size());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back.value(), raw);
-}
-
-TEST(CompressHardeningTest, IncompressibleRoundTripUnaffected) {
-  Bytes raw;
-  uint32_t x = 0x12345678;
-  for (int i = 0; i < 300; ++i) {
-    x = x * 1664525u + 1013904223u;  // LCG: no repeats for LZ to find
-    raw.push_back(static_cast<uint8_t>(x >> 24));
-  }
-  auto back = LzDecompress(LzCompress(raw), raw.size());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back.value(), raw);
 }
 
 // ---------------------------------------------------------------------------

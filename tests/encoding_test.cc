@@ -1,16 +1,13 @@
 // Encoding-layer tests: the columnar batch codec (bit-identical round trip
-// against the canonical record encoding), versioned block frames on the
-// ChainLog and the replication wire, the LZ batch compressor, and the
-// FileKvStore compression hook. The invariant under test everywhere: the
-// compact forms are *transport* encodings — decoding must reproduce the
-// exact canonical bytes (same Encode(), same Hash()) or fail loudly.
+// against the canonical record encoding) and versioned block frames on the
+// ChainLog and the replication wire, where logs and peers from before the
+// columnar form must still replay. The invariant under test everywhere:
+// the compact forms are *transport* encodings — decoding must reproduce
+// the exact canonical bytes (same Encode(), same Hash()) or fail loudly.
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
@@ -18,7 +15,8 @@
 
 #include "common/bytes.h"
 #include "common/codec.h"
-#include "common/compress.h"
+#include "common/fileio.h"
+#include "common/framed_log.h"
 #include "crypto/schnorr.h"
 #include "crypto/sha256.h"
 #include "ledger/chain.h"
@@ -26,7 +24,6 @@
 #include "prov/columnar.h"
 #include "prov/record.h"
 #include "replication/cluster.h"
-#include "storage/file_kv_store.h"
 #include "temp_dir.h"
 
 namespace provledger {
@@ -440,23 +437,22 @@ TEST_F(ChainLogEncodingTest, MixedLegacyAndColumnarLogReplays) {
   const std::string path = dir_ + "/chain.log";
   crypto::Digest head;
   {
-    // Epoch 1: a pre-columnar deployment writes raw bodies.
-    ledger::ChainLogOptions opts;
-    opts.columnar_bodies = false;
+    // Epoch 1: a pre-columnar deployment framed raw Block::Encode() bodies.
     ledger::Blockchain chain;
-    auto log = ledger::ChainLog::Open(path, opts);
-    ASSERT_TRUE(log.ok());
-    ASSERT_TRUE((*log)->AttachTo(&chain).ok());
+    Bytes legacy;
     for (uint64_t i = 1; i <= 3; ++i) {
       ASSERT_TRUE(
           chain.Append({RecordTx(BaseRecord(i))}, 1000 + i, "node-1").ok());
+      const Bytes frame = BuildFrame(chain.PeekBlock(i)->Encode());
+      legacy.insert(legacy.end(), frame.begin(), frame.end());
     }
+    ASSERT_TRUE(WriteFileAtomic(path, legacy).ok());
   }
   {
     // Epoch 2: the upgraded deployment replays the legacy blocks and
     // appends columnar ones to the same file.
     ledger::Blockchain chain;
-    auto log = ledger::ChainLog::Open(path);  // columnar_bodies default on
+    auto log = ledger::ChainLog::Open(path);
     ASSERT_TRUE(log.ok());
     ASSERT_TRUE((*log)->AttachTo(&chain).ok());
     ASSERT_EQ(chain.height(), 3u);
@@ -466,179 +462,32 @@ TEST_F(ChainLogEncodingTest, MixedLegacyAndColumnarLogReplays) {
     }
     head = chain.head_hash();
   }
-  // Epoch 3: a reader configured either way replays the mixed log in full.
-  for (bool columnar : {true, false}) {
-    ledger::ChainLogOptions opts;
-    opts.columnar_bodies = columnar;
-    ledger::Blockchain chain;
-    auto log = ledger::ChainLog::Open(path, opts);
-    ASSERT_TRUE(log.ok());
-    ASSERT_TRUE((*log)->AttachTo(&chain).ok());
-    EXPECT_EQ(chain.height(), 6u);
-    EXPECT_EQ(chain.head_hash(), head);
-    EXPECT_TRUE(chain.VerifyIntegrity().ok());
-  }
+  // Epoch 3: a reader replays the mixed log in full.
+  ledger::Blockchain chain;
+  auto log = ledger::ChainLog::Open(path);
+  ASSERT_TRUE(log.ok());
+  ASSERT_TRUE((*log)->AttachTo(&chain).ok());
+  EXPECT_EQ(chain.height(), 6u);
+  EXPECT_EQ(chain.head_hash(), head);
+  EXPECT_TRUE(chain.VerifyIntegrity().ok());
 }
 
 TEST_F(ChainLogEncodingTest, ColumnarLogIsSmallerThanRaw) {
-  auto fill = [&](const std::string& path, bool columnar) -> uint64_t {
-    ledger::ChainLogOptions opts;
-    opts.columnar_bodies = columnar;
-    ledger::Blockchain chain;
-    auto log = ledger::ChainLog::Open(path, opts);
-    EXPECT_TRUE(log.ok());
-    EXPECT_TRUE((*log)->AttachTo(&chain).ok());
-    for (uint64_t b = 1; b <= 4; ++b) {
-      std::vector<ledger::Transaction> txs;
-      for (size_t i = 0; i < 128; ++i) {
-        txs.push_back(RecordTx(BaseRecord(b * 1000 + i)));
-      }
-      EXPECT_TRUE(chain.Append(std::move(txs), 1000 + b, "node-1").ok());
+  ledger::Blockchain chain;
+  auto log = ledger::ChainLog::Open(dir_ + "/chain.log");
+  ASSERT_TRUE(log.ok());
+  ASSERT_TRUE((*log)->AttachTo(&chain).ok());
+  // A raw-body log holds one frame around each block's Block::Encode().
+  uint64_t raw_bytes = 0;
+  for (uint64_t b = 1; b <= 4; ++b) {
+    std::vector<ledger::Transaction> txs;
+    for (size_t i = 0; i < 128; ++i) {
+      txs.push_back(RecordTx(BaseRecord(b * 1000 + i)));
     }
-    return (*log)->size_bytes();
-  };
-  uint64_t columnar_bytes = fill(dir_ + "/columnar.log", true);
-  uint64_t raw_bytes = fill(dir_ + "/raw.log", false);
-  EXPECT_LT(columnar_bytes * 3, raw_bytes);
-}
-
-// ---------------------------------------------------------------------------
-// LZ compressor
-// ---------------------------------------------------------------------------
-
-TEST(LzCompressTest, RoundTrip) {
-  std::vector<Bytes> cases;
-  cases.push_back({});                       // empty
-  cases.push_back(ToBytes("a"));             // below match length
-  cases.push_back(Bytes(100'000, 0x61));     // maximally repetitive
-  Bytes mixed;
-  for (size_t i = 0; i < 10'000; ++i) {
-    mixed.push_back(static_cast<uint8_t>((i * 2654435761u) >> 13));
+    ASSERT_TRUE(chain.Append(std::move(txs), 1000 + b, "node-1").ok());
+    raw_bytes += kFrameHeaderBytes + chain.PeekBlock(b)->Encode().size();
   }
-  cases.push_back(mixed);                    // incompressible-ish
-  Bytes batch;
-  for (int i = 0; i < 200; ++i) {
-    Bytes rec = ToBytes("record-" + std::to_string(i) + "/sensor-reading");
-    batch.insert(batch.end(), rec.begin(), rec.end());
-  }
-  cases.push_back(batch);                    // self-similar
-  for (const Bytes& raw : cases) {
-    Bytes compressed = LzCompress(raw);
-    auto back = LzDecompress(compressed, raw.size());
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(back.value(), raw);
-  }
-  // The self-similar case must actually shrink.
-  EXPECT_LT(LzCompress(batch).size(), batch.size());
-}
-
-TEST(LzCompressTest, CorruptInputFailsLoudly) {
-  Bytes raw = Bytes(1000, 0x42);
-  Bytes compressed = LzCompress(raw);
-  // Wrong raw_size: both directions are errors, never over/under-reads.
-  EXPECT_FALSE(LzDecompress(compressed, raw.size() + 1).ok());
-  EXPECT_FALSE(LzDecompress(compressed, raw.size() - 1).ok());
-  // Truncation at every prefix is an error, never a crash.
-  for (size_t len = 0; len < compressed.size(); ++len) {
-    Bytes prefix(compressed.begin(), compressed.begin() + len);
-    EXPECT_FALSE(LzDecompress(prefix, raw.size()).ok()) << "len=" << len;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FileKvStore compression hook
-// ---------------------------------------------------------------------------
-
-using FileKvCompressionTest = EncodingDirTest;
-
-storage::FileKvStoreOptions CompressedOptions() {
-  storage::FileKvStoreOptions options;
-  options.compress = LzCompress;
-  options.decompress = LzDecompress;
-  return options;
-}
-
-TEST_F(FileKvCompressionTest, RoundTripReplayAndIterate) {
-  auto put_all = [](storage::FileKvStore* store) {
-    for (int i = 0; i < 200; ++i) {
-      storage::WriteBatch batch;
-      for (int j = 0; j < 4; ++j) {
-        batch.Put("sensor/" + std::to_string(i) + "/" + std::to_string(j),
-                  "reading=" + std::to_string(20 + (i + j) % 6) +
-                      ";unit=celsius;product=pkg-" + std::to_string(i % 10));
-      }
-      ASSERT_TRUE(store->Write(batch).ok());
-    }
-  };
-  {
-    auto store = storage::FileKvStore::Open(dir_, CompressedOptions());
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    put_all((*store).get());
-    // Random reads slice values out of compressed batches.
-    auto got = (*store)->Get("sensor/7/2");
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(BytesToString(got.value()),
-              "reading=23;unit=celsius;product=pkg-7");
-  }
-  // Reopen with the hook: compressed frames replay into the index.
-  auto reopened = storage::FileKvStore::Open(dir_, CompressedOptions());
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->ApproximateCount(), 800u);
-  auto got = (*reopened)->Get("sensor/199/3");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(BytesToString(got.value()),
-            "reading=24;unit=celsius;product=pkg-9");
-  size_t seen = 0;
-  for (auto it = (*reopened)->NewIterator(); it->Valid(); it->Next()) {
-    EXPECT_NE(BytesToString(it->value()).find("unit=celsius"),
-              std::string::npos);
-    ++seen;
-  }
-  EXPECT_EQ(seen, 800u);
-}
-
-TEST_F(FileKvCompressionTest, ReopenWithoutDecompressorFailsLoudly) {
-  {
-    auto store = storage::FileKvStore::Open(dir_, CompressedOptions());
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Put("k", Bytes(4096, 0x55)).ok());
-  }
-  auto plain = storage::FileKvStore::Open(dir_);
-  ASSERT_FALSE(plain.ok());
-  EXPECT_TRUE(plain.status().IsCorruption())
-      << plain.status().ToString();
-}
-
-TEST_F(FileKvCompressionTest, CompressedLogIsSmaller) {
-  auto fill = [&](const std::string& dir,
-                  storage::FileKvStoreOptions options) -> uint64_t {
-    options.sync_writes = false;
-    auto store = storage::FileKvStore::Open(dir, options);
-    EXPECT_TRUE(store.ok());
-    storage::WriteBatch batch;
-    for (int i = 0; i < 2000; ++i) {
-      batch.Put("block/" + std::to_string(i),
-                "provenance-record-payload-" + std::to_string(i % 50));
-      if (batch.size() == 100) {
-        EXPECT_TRUE((*store)->Write(batch).ok());
-        batch.Clear();
-      }
-    }
-    if (!batch.empty()) EXPECT_TRUE((*store)->Write(batch).ok());
-    struct stat st;
-    uint64_t total = 0;
-    for (int seg = 1; seg <= 4; ++seg) {
-      char name[32];
-      std::snprintf(name, sizeof(name), "/%06d.log", seg);
-      if (::stat((dir + name).c_str(), &st) == 0) {
-        total += static_cast<uint64_t>(st.st_size);
-      }
-    }
-    return total;
-  };
-  uint64_t compressed = fill(dir_ + "/c", CompressedOptions());
-  uint64_t raw = fill(dir_ + "/r", storage::FileKvStoreOptions());
-  EXPECT_LT(compressed * 2, raw);
+  EXPECT_LT((*log)->size_bytes() * 3, raw_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -653,33 +502,36 @@ prov::ProvenanceRecord ClusterRecord(size_t i) {
       "factory>dc", "vaccine", "mfg-1", "qr://w/" + std::to_string(i));
 }
 
-uint64_t RunWireWorkload(bool columnar_wire, size_t n) {
+TEST(ReplicationEncodingTest, ColumnarWireConvergesAndIsSmaller) {
+  constexpr size_t kRecords = 512;
   replication::ClusterOptions options;
   options.num_nodes = 4;
   options.seed = 7;
   options.consensus = "raft";
-  options.columnar_wire = columnar_wire;
   auto cluster = replication::Cluster::Create(options);
-  EXPECT_TRUE(cluster.ok());
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE((*cluster)->Submit(ClusterRecord(i)).ok());
-    if ((*cluster)->pending_count() == 128 || i + 1 == n) {
-      EXPECT_TRUE((*cluster)->CommitPending().ok());
+  ASSERT_TRUE(cluster.ok());
+  for (size_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE((*cluster)->Submit(ClusterRecord(i)).ok());
+    if ((*cluster)->pending_count() == 128 || i + 1 == kRecords) {
+      ASSERT_TRUE((*cluster)->CommitPending().ok());
     }
   }
-  EXPECT_TRUE((*cluster)->Converged());
+  ASSERT_TRUE((*cluster)->Converged());
   // Followers rebuilt every record from the wire form; the audit re-checks
   // each one against its block's Merkle root.
   auto audit = (*cluster)->node(3)->store()->AuditAll();
-  EXPECT_TRUE(audit.ok()) << audit.status().ToString();
-  if (audit.ok()) EXPECT_EQ(audit.value(), n);
-  return (*cluster)->net()->metrics().bytes_sent;
-}
+  ASSERT_TRUE(audit.ok()) << audit.status().ToString();
+  EXPECT_EQ(audit.value(), kRecords);
 
-TEST(ReplicationEncodingTest, ColumnarWireConvergesAndIsSmaller) {
-  constexpr size_t kRecords = 512;
-  uint64_t columnar_bytes = RunWireWorkload(/*columnar_wire=*/true, kRecords);
-  uint64_t raw_bytes = RunWireWorkload(/*columnar_wire=*/false, kRecords);
+  // A raw-body wire ships each main-chain block's Block::Encode() bytes
+  // once to every follower.
+  const ledger::Blockchain& chain = *(*cluster)->node(0)->chain();
+  uint64_t raw_block_bytes = 0;
+  for (uint64_t h = 1; h <= chain.height(); ++h) {
+    raw_block_bytes += chain.PeekBlock(h)->Encode().size();
+  }
+  const uint64_t raw_bytes = (options.num_nodes - 1) * raw_block_bytes;
+  const uint64_t columnar_bytes = (*cluster)->net()->metrics().bytes_sent;
   EXPECT_LT(columnar_bytes * 3, raw_bytes)
       << "columnar wire " << columnar_bytes << " B vs raw " << raw_bytes;
 }

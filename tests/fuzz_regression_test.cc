@@ -69,16 +69,8 @@ TEST(FuzzRegressionTest, ColumnarBlock) {
 
 TEST(FuzzRegressionTest, Record) { ReplayCorpus("record", fuzz::FuzzRecord); }
 
-TEST(FuzzRegressionTest, Compress) {
-  ReplayCorpus("compress", fuzz::FuzzCompress);
-}
-
 TEST(FuzzRegressionTest, FramedLog) {
   ReplayCorpus("framed_log", fuzz::FuzzFramedLog);
-}
-
-TEST(FuzzRegressionTest, KvSegment) {
-  ReplayCorpus("kv_segment", fuzz::FuzzKvSegment);
 }
 
 TEST(FuzzRegressionTest, ChainLog) {
@@ -100,9 +92,7 @@ TEST(FuzzRegressionTest, DegenerateInputsOnEveryHarness) {
       {"columnar_batch", fuzz::FuzzColumnarBatch},
       {"columnar_block", fuzz::FuzzColumnarBlock},
       {"record", fuzz::FuzzRecord},
-      {"compress", fuzz::FuzzCompress},
       {"framed_log", fuzz::FuzzFramedLog},
-      {"kv_segment", fuzz::FuzzKvSegment},
       {"chain_log", fuzz::FuzzChainLog},
       {"replication", fuzz::FuzzReplication},
       {"store_snapshot", fuzz::FuzzStoreSnapshot},

@@ -1,12 +1,13 @@
-// Durable-storage recovery tests (ctest label: recovery): FileKvStore
-// crash/reopen semantics (torn WriteBatch discarded, batches atomic across
-// restarts), ChainLog persist + replay + torn-tail truncation, provenance
-// snapshots (save/load, chain binding, tail replay), and the full
-// process-restart path: reload chain + snapshot, then VerifyIntegrity() and
-// AuditAll() must pass.
+// Durable-storage recovery tests (ctest label: recovery): ChainLog persist
+// + replay + torn-tail truncation and fail-stop after a failed write,
+// provenance snapshots (save/load, chain binding, tail replay), and the
+// full process-restart path: reload chain + snapshot, then
+// VerifyIntegrity() and AuditAll() must pass.
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -17,7 +18,6 @@
 #include "common/hash64.h"
 #include "ledger/chain_log.h"
 #include "prov/store.h"
-#include "storage/file_kv_store.h"
 #include "tamper.h"
 #include "temp_dir.h"
 
@@ -26,12 +26,6 @@ namespace {
 
 using testutil::MakeTempDir;
 using testutil::RemoveTree;
-
-/// Append raw garbage to a file — the on-disk shape of a crash mid-append.
-void AppendGarbage(const std::string& path, size_t n) {
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  for (size_t i = 0; i < n; ++i) out.put(static_cast<char>(0x7F));
-}
 
 /// Chop the last `n` bytes off a file (a torn tail write).
 void TruncateTail(const std::string& path, size_t n) {
@@ -42,165 +36,50 @@ void TruncateTail(const std::string& path, size_t n) {
   ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(size - n)), 0);
 }
 
+/// Caps the size of every file this process writes (RLIMIT_FSIZE) with
+/// SIGXFSZ ignored, so a write past the cap fails with EFBIG, as on a full
+/// disk, instead of killing the process. Lift() or the destructor restores
+/// the previous limit and signal disposition.
+class FileSizeCap {
+ public:
+  FileSizeCap() = default;
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+  ~FileSizeCap() {
+    if (!Lift()) ADD_FAILURE() << "file size limit not restored";
+  }
+
+  bool Set(rlim_t bytes) {
+    if (::getrlimit(RLIMIT_FSIZE, &saved_limit_) != 0) return false;
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    if (::sigaction(SIGXFSZ, &ignore, &saved_action_) != 0) return false;
+    active_ = true;
+    struct rlimit capped = saved_limit_;
+    capped.rlim_cur = bytes;
+    return ::setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  }
+
+  bool Lift() {
+    if (!active_) return true;
+    active_ = false;
+    const bool limit_restored = ::setrlimit(RLIMIT_FSIZE, &saved_limit_) == 0;
+    return ::sigaction(SIGXFSZ, &saved_action_, nullptr) == 0 &&
+           limit_restored;
+  }
+
+ private:
+  bool active_ = false;
+  struct rlimit saved_limit_ {};
+  struct sigaction saved_action_ {};
+};
+
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override { dir_ = MakeTempDir(); }
   void TearDown() override { RemoveTree(dir_); }
   std::string dir_;
 };
-
-// ---------------------------------------------------------------------------
-// FileKvStore
-// ---------------------------------------------------------------------------
-
-using storage::FileKvStore;
-using storage::FileKvStoreOptions;
-using storage::WriteBatch;
-
-TEST_F(RecoveryTest, FileKvStoreSurvivesReopen) {
-  {
-    auto store = FileKvStore::Open(dir_);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->Put("alpha", ToBytes("1")).ok());
-    ASSERT_TRUE((*store)->Put("beta", ToBytes("2")).ok());
-    ASSERT_TRUE((*store)->Put("alpha", ToBytes("1v2")).ok());  // overwrite
-    ASSERT_TRUE((*store)->Delete("beta").ok());
-    ASSERT_TRUE((*store)->Put("gamma", ToBytes("3")).ok());
-  }
-  auto reopened = FileKvStore::Open(dir_);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  FileKvStore& store = **reopened;
-  EXPECT_FALSE(store.recovered_torn_write());
-  EXPECT_EQ(store.ApproximateCount(), 2u);
-  auto alpha = store.Get("alpha");
-  ASSERT_TRUE(alpha.ok());
-  EXPECT_EQ(BytesToString(alpha.value()), "1v2");
-  EXPECT_FALSE(store.Has("beta"));
-  EXPECT_TRUE(store.Has("gamma"));
-}
-
-TEST_F(RecoveryTest, FileKvStoreOrderedSnapshotIterator) {
-  auto opened = FileKvStore::Open(dir_);
-  ASSERT_TRUE(opened.ok());
-  FileKvStore& store = **opened;
-  ASSERT_TRUE(store.Put("b", ToBytes("2")).ok());
-  ASSERT_TRUE(store.Put("a", ToBytes("1")).ok());
-  ASSERT_TRUE(store.Put("c", ToBytes("3")).ok());
-
-  auto it = store.NewIterator();
-  // Mutations after snapshot creation are invisible (same contract as
-  // MemKvStore), including overwrites of keys the snapshot can see.
-  ASSERT_TRUE(store.Put("d", ToBytes("4")).ok());
-  ASSERT_TRUE(store.Put("a", ToBytes("overwritten")).ok());
-
-  std::vector<std::string> keys;
-  std::vector<std::string> values;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    keys.push_back(it->key());
-    values.push_back(BytesToString(it->value()));
-  }
-  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(values, (std::vector<std::string>{"1", "2", "3"}));
-  it->Seek("b");
-  ASSERT_TRUE(it->Valid());
-  EXPECT_EQ(it->key(), "b");
-
-  auto hits = storage::ScanPrefix(store, "a");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(BytesToString(hits[0].second), "overwritten");
-}
-
-TEST_F(RecoveryTest, FileKvStoreTornBatchIsInvisibleAfterReopen) {
-  {
-    auto store = FileKvStore::Open(dir_);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Put("committed", ToBytes("yes")).ok());
-    WriteBatch batch;  // the batch a crash will tear
-    batch.Put("torn1", std::string("a"));
-    batch.Put("torn2", std::string("b"));
-    batch.Delete("committed");
-    ASSERT_TRUE((*store)->Write(batch).ok());
-  }
-  // Tear the tail record: the batch frame loses its last bytes, as if the
-  // process died mid-write() or the kernel never flushed the full page.
-  TruncateTail(dir_ + "/000001.log", 3);
-
-  auto reopened = FileKvStore::Open(dir_);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  FileKvStore& store = **reopened;
-  EXPECT_TRUE(store.recovered_torn_write());
-  // No torn WriteBatch: either all three ops or none — here none.
-  EXPECT_FALSE(store.Has("torn1"));
-  EXPECT_FALSE(store.Has("torn2"));
-  EXPECT_TRUE(store.Has("committed"));
-  EXPECT_EQ(store.replayed_batches(), 1u);
-
-  // The truncated log accepts new writes cleanly.
-  ASSERT_TRUE(store.Put("after-crash", ToBytes("ok")).ok());
-  auto again = FileKvStore::Open(dir_);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE((*again)->Has("after-crash"));
-  EXPECT_FALSE((*again)->recovered_torn_write());
-}
-
-TEST_F(RecoveryTest, FileKvStoreGarbageTailDiscarded) {
-  {
-    auto store = FileKvStore::Open(dir_);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Put("keep", ToBytes("v")).ok());
-  }
-  AppendGarbage(dir_ + "/000001.log", 13);
-  auto reopened = FileKvStore::Open(dir_);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_TRUE((*reopened)->recovered_torn_write());
-  EXPECT_TRUE((*reopened)->Has("keep"));
-  EXPECT_EQ((*reopened)->ApproximateCount(), 1u);
-}
-
-TEST_F(RecoveryTest, FileKvStoreMidLogCorruptionFailsLoudly) {
-  {
-    auto store = FileKvStore::Open(dir_);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Put("first", ToBytes("value-1")).ok());
-    ASSERT_TRUE((*store)->Put("second", ToBytes("value-2")).ok());
-  }
-  // Damage a byte inside the FIRST record's payload: the frame is still
-  // complete (a later valid record follows), so this is corruption — it
-  // must fail loudly, never silently truncate away the valid tail.
-  ASSERT_TRUE(testutil::FlipByteInFile(dir_ + "/000001.log", 10).ok());
-  auto reopened = FileKvStore::Open(dir_);
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsCorruption());
-}
-
-TEST_F(RecoveryTest, FileKvStoreRollsSegmentsAndReplaysAll) {
-  FileKvStoreOptions options;
-  options.segment_bytes = 256;  // force frequent rolls
-  options.sync_writes = false;
-  size_t segments;
-  {
-    auto store = FileKvStore::Open(dir_, options);
-    ASSERT_TRUE(store.ok());
-    for (int i = 0; i < 100; ++i) {
-      ASSERT_TRUE((*store)
-                      ->Put("key-" + std::to_string(i),
-                            Bytes(32, static_cast<uint8_t>(i)))
-                      .ok());
-    }
-    ASSERT_TRUE((*store)->Sync().ok());
-    segments = (*store)->segment_count();
-    EXPECT_GT(segments, 1u);
-  }
-  auto reopened = FileKvStore::Open(dir_, options);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->segment_count(), segments);
-  EXPECT_EQ((*reopened)->ApproximateCount(), 100u);
-  for (int i = 0; i < 100; ++i) {
-    auto got = (*reopened)->Get("key-" + std::to_string(i));
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got.value(), Bytes(32, static_cast<uint8_t>(i)));
-  }
-}
 
 // ---------------------------------------------------------------------------
 // ChainLog
@@ -319,6 +198,45 @@ TEST_F(RecoveryTest, ChainLogBackfillsExistingChain) {
   ASSERT_TRUE(log2.ok());
   ASSERT_TRUE((*log2)->Replay(&reloaded).ok());
   EXPECT_EQ(reloaded.head_hash(), chain.head_hash());
+}
+
+TEST_F(RecoveryTest, ChainLogFailStopsAfterFailedWrite) {
+  const std::string path = dir_ + "/chain.log";
+  ledger::Blockchain chain;
+  auto log = ledger::ChainLog::Open(path);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_TRUE((*log)->AttachTo(&chain).ok());
+  ASSERT_TRUE(chain.Append({SysTx("b1", 1)}, 1001, "n").ok());
+  {
+    // Room for 10 more bytes: the next frame's write fails part-way.
+    FileSizeCap cap;
+    ASSERT_TRUE(cap.Set((*log)->size_bytes() + 10));
+    EXPECT_FALSE(chain.Append({SysTx("b2", 2)}, 1002, "n").ok());
+    ASSERT_TRUE(cap.Lift());
+  }
+  // The disk has room again, but the log cannot know what the failed
+  // write left on it: it refuses instead of carrying on.
+  auto after = chain.Append({SysTx("b2", 2)}, 1002, "n");
+  ASSERT_FALSE(after.ok());
+  EXPECT_TRUE(after.status().IsFailedPrecondition())
+      << after.status().ToString();
+  EXPECT_NE(after.status().message().find("write " + path),
+            std::string::npos)
+      << after.status().ToString();
+  EXPECT_TRUE((*log)->Sync().IsFailedPrecondition());
+  EXPECT_EQ(chain.height(), 1u);
+  EXPECT_EQ((*log)->block_count(), 1u);
+
+  // Reopening rescans the file: the chain reloads at height 1 and appends
+  // resume.
+  ledger::Blockchain reloaded;
+  auto reopened = ledger::ChainLog::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_TRUE((*reopened)->AttachTo(&reloaded).ok());
+  EXPECT_EQ(reloaded.height(), 1u);
+  EXPECT_TRUE(reloaded.VerifyIntegrity().ok());
+  ASSERT_TRUE(reloaded.Append({SysTx("b2", 2)}, 1002, "n").ok());
+  EXPECT_EQ((*reopened)->block_count(), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ TEST(MemKvStoreTest, IteratorIsOrderedSnapshot) {
   ASSERT_TRUE(store.Put("d", ToBytes("4")).ok());
 
   std::vector<std::string> keys;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) keys.push_back(it->key());
+  for (it.SeekToFirst(); it.Valid(); it.Next()) keys.push_back(it.key());
   EXPECT_EQ(keys, (std::vector<std::string>{"a", "b", "c"}));
 }
 
@@ -80,15 +80,15 @@ TEST(MemKvStoreTest, IteratorsShareSnapshotsCopyOnWrite) {
   auto it3 = store.NewIterator();
   ASSERT_TRUE(store.Delete("k").ok());
 
-  it1->SeekToFirst();
-  it2->SeekToFirst();
-  it3->SeekToFirst();
-  ASSERT_TRUE(it1->Valid());
-  EXPECT_EQ(BytesToString(it1->value()), "v1");
-  ASSERT_TRUE(it2->Valid());
-  EXPECT_EQ(BytesToString(it2->value()), "v1");
-  ASSERT_TRUE(it3->Valid());
-  EXPECT_EQ(BytesToString(it3->value()), "v2");
+  it1.SeekToFirst();
+  it2.SeekToFirst();
+  it3.SeekToFirst();
+  ASSERT_TRUE(it1.Valid());
+  EXPECT_EQ(BytesToString(it1.value()), "v1");
+  ASSERT_TRUE(it2.Valid());
+  EXPECT_EQ(BytesToString(it2.value()), "v1");
+  ASSERT_TRUE(it3.Valid());
+  EXPECT_EQ(BytesToString(it3.value()), "v2");
   EXPECT_FALSE(store.Has("k"));
 }
 
@@ -98,11 +98,11 @@ TEST(MemKvStoreTest, IteratorSeek) {
     ASSERT_TRUE(store.Put(k, ToBytes(k)).ok());
   }
   auto it = store.NewIterator();
-  it->Seek("b");
-  ASSERT_TRUE(it->Valid());
-  EXPECT_EQ(it->key(), "banana");
-  it->Seek("zzz");
-  EXPECT_FALSE(it->Valid());
+  it.Seek("b");
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key(), "banana");
+  it.Seek("zzz");
+  EXPECT_FALSE(it.Valid());
 }
 
 TEST(MemKvStoreTest, ScanPrefix) {

@@ -1,8 +1,7 @@
 // Shared tamper-injection utilities for integrity suites (audit,
 // recovery, replication): flip bytes at chosen offsets in durable
-// artifacts — framed chain-log frames, kv segment files, store snapshots
-// — or corrupt one transaction of a block, in memory or installed in a
-// live chain. Centralizing the corruption code means every suite tampers
+// artifacts — framed chain-log frames, store snapshots — or corrupt one
+// transaction of a block, in memory or installed in a live chain. Centralizing the corruption code means every suite tampers
 // the same way, and localization tests can name the exact frame/block/tx
 // they damaged. Header-only so the one definition serves every suite
 // (tests/*.cc are each their own executable).
@@ -10,11 +9,7 @@
 #ifndef PROVLEDGER_TESTS_TAMPER_H_
 #define PROVLEDGER_TESTS_TAMPER_H_
 
-#include <dirent.h>
-
-#include <algorithm>
 #include <string>
-#include <vector>
 
 #include "common/fileio.h"
 #include "common/framed_log.h"
@@ -56,7 +51,7 @@ inline Result<size_t> FrameOffset(const std::string& path,
 }
 
 /// Flip one payload byte of frame `frame_index` in a framed-log file
-/// (chain log or kv segment), leaving the stored CRC stale — the classic
+/// (a chain log), leaving the stored CRC stale — the classic
 /// bit-rot/tamper signature. Returns the file offset of the damaged
 /// frame so tests can pin findings to it.
 inline Result<size_t> CorruptFrame(const std::string& path,
@@ -67,32 +62,6 @@ inline Result<size_t> CorruptFrame(const std::string& path,
   PROVLEDGER_RETURN_NOT_OK(FlipByteInFile(
       path, frame_at + kFrameHeaderBytes + payload_offset, mask));
   return frame_at;
-}
-
-/// Flip one payload byte in the first frame of the lexicographically
-/// first *.log segment under `dir` (a FileKvStore data directory).
-/// Returns the segment's file name.
-inline Result<std::string> CorruptKvSegment(const std::string& dir,
-                                            size_t payload_offset = 0,
-                                            uint8_t mask = 0x01) {
-  std::vector<std::string> segments;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return Status::NotFound("no such directory: " + dir);
-  while (struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".log") == 0) {
-      segments.push_back(name);
-    }
-  }
-  ::closedir(d);
-  if (segments.empty()) {
-    return Status::NotFound("no .log segments under " + dir);
-  }
-  std::sort(segments.begin(), segments.end());
-  PROVLEDGER_RETURN_NOT_OK(
-      CorruptFrame(dir + "/" + segments.front(), 0, payload_offset, mask)
-          .status());
-  return segments.front();
 }
 
 /// Flip one byte in the middle of a snapshot (or any opaque) file — deep
