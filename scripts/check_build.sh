@@ -63,8 +63,8 @@ require_binary "$BUILD/provtop"
 python3 "$ROOT/provbench/smoke_test.py"
 
 # ThreadSanitizer gate: the `concurrency` label (sharded ingest, snapshot
-# readers, parallel queries) rebuilt under -fsanitize=thread. Any data
-# race fails the build.
+# readers on shared epochs, chunked chain views) rebuilt under
+# -fsanitize=thread. Any data race fails the build.
 TSAN_BUILD="$ROOT/build-tsan"
 configure_tree "$TSAN_BUILD" RelWithDebInfo \
   -DPROVLEDGER_SANITIZE=thread \

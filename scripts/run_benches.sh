@@ -3,8 +3,6 @@
 #   BENCH_graph.json      — dense graph engine vs legacy std::map graph
 #   BENCH_query.json      — planner-chosen index scans vs fetch-then-filter
 #   BENCH_recovery.json   — snapshot restore vs cold RebuildFromChain
-#   BENCH_concurrent.json — sharded pipeline ingest vs single-threaded
-#                           AnchorBatch; query latency under write load
 #   BENCH_replication.json — 4-node cluster ingest per consensus engine,
 #                           replication overhead/record, catch-up vs lag
 #   BENCH_audit.json      — lineage proof size/build/verify by ancestry
@@ -22,8 +20,8 @@ source "$(dirname "${BASH_SOURCE[0]}")/lib.sh"
 BUILD="$ROOT/build-release"
 RECORDS="${1:-100000}"
 
-BENCHES=(bench_graph_scale bench_query_api bench_recovery bench_concurrent
-         bench_replication bench_audit)
+BENCHES=(bench_graph_scale bench_query_api bench_recovery bench_replication
+         bench_audit)
 
 configure_tree "$BUILD" Release \
   -DPROVLEDGER_BUILD_BENCHES=ON \
@@ -44,7 +42,6 @@ run_bench() {
 run_bench bench_graph_scale "$ROOT/BENCH_graph.json" "$RECORDS"
 run_bench bench_query_api "$ROOT/BENCH_query.json" "$RECORDS"
 run_bench bench_recovery "$ROOT/BENCH_recovery.json" "$RECORDS"
-run_bench bench_concurrent "$ROOT/BENCH_concurrent.json" "$RECORDS"
 run_bench bench_replication "$ROOT/BENCH_replication.json" "$RECORDS"
 # Proof depths go to 1024, so keep at least a few thousand ancestors.
 run_bench bench_audit "$ROOT/BENCH_audit.json" "$((RECORDS / 5))"

@@ -6,7 +6,6 @@
 
 #include "common/fileio.h"
 #include "common/framed_log.h"
-#include "common/thread_pool.h"
 #include "prov/columnar.h"
 
 namespace provledger {
@@ -241,36 +240,8 @@ AuditReport ContinuousAuditor::RunPass() {
   const size_t count =
       static_cast<size_t>(report.to_height - report.from_height + 1);
   std::vector<BlockCheck> checks(count);
-  if (options_.parallelism > 1 && count > 1) {
-    // Fan disjoint height chunks out over the shared pool; the last chunk
-    // runs inline (pool tasks never wait on pool tasks). Each task writes
-    // only its own slots, and WaitGroup publishes them to this thread.
-    const size_t chunks = std::min(options_.parallelism, count);
-    const size_t per_chunk = (count + chunks - 1) / chunks;
-    common::WaitGroup wg;
-    wg.Add(chunks - 1);
-    for (size_t c = 0; c + 1 < chunks; ++c) {
-      const size_t begin = c * per_chunk;
-      const size_t end = std::min(begin + per_chunk, count);
-      common::ThreadPool::Shared().Submit([this, &view, &checks, &wg, from,
-                                           begin, end] {
-        for (size_t i = begin; i < end; ++i) {
-          checks[i] = AuditBlock(*view, from + i);
-        }
-        wg.Done();
-      });
-    }
-    for (size_t i = (chunks - 1) * per_chunk; i < count; ++i) {
-      checks[i] = AuditBlock(*view, from + i);
-    }
-    wg.Wait();
-  } else {
-    for (size_t i = 0; i < count; ++i) {
-      checks[i] = AuditBlock(*view, from + i);
-    }
-  }
-
   for (size_t i = 0; i < count; ++i) {
+    checks[i] = AuditBlock(*view, from + i);
     ++report.blocks_audited;
     report.txs_audited += checks[i].txs;
     for (auto& finding : checks[i].findings) {

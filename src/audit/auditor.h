@@ -6,8 +6,7 @@
 // store's published GraphSnapshot epoch, so it never touches live
 // single-owner state and never blocks the committer.
 //
-// Per-block work items (fanned out over common::ThreadPool when
-// parallelism > 1):
+// Per-block work items, run inline on the auditing thread:
 //   * header link + installed-hash + height + timestamp monotonicity
 //   * Merkle root recompute over the transaction leaves
 //   * per-transaction signature verification
@@ -104,9 +103,6 @@ struct ContinuousAuditorOptions {
   /// Cap on blocks verified per pass — the incremental-work knob that
   /// bounds how long a pass can hold the calling thread.
   size_t max_blocks_per_pass = 64;
-  /// Fan per-block chain checks out over common::ThreadPool::Shared()
-  /// (one chunk runs inline). 0 or 1 = all inline on the calling thread.
-  size_t parallelism = 0;
   /// Background mode: sleep between passes (microseconds).
   uint64_t pass_interval_us = 1000;
   /// Metric registry for the cursor-lag gauge and findings counter

@@ -15,8 +15,8 @@
 //     toolchain) they expand to nothing and serve as machine-readable
 //     documentation; under clang with libc++'s annotated std::mutex
 //     (-D_LIBCPP_ENABLE_THREAD_SAFETY_ANNOTATIONS) the locking contract in
-//     ThreadPool / IngestPipeline / ProvenanceStore / Blockchain /
-//     ReplicatedNode is verified at compile time. tools/provlint checks
+//     IngestPipeline and ContinuousAuditor, the two classes that hold
+//     mutexes, is verified at compile time. tools/provlint checks
 //     that annotated members and the prose "Thread safety:" contract both
 //     exist, so the two can't silently drift apart.
 //

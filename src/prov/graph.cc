@@ -4,8 +4,6 @@
 #include <chrono>
 #include <limits>
 
-#include "common/thread_pool.h"
-
 namespace provledger {
 namespace prov {
 
@@ -493,129 +491,12 @@ void ProvenanceGraph::PlanCursor::Skip(size_t n) {
   }
 }
 
-// Fan-out only pays once each worker has a few thousand candidates to
-// check: below that, the queue handoff and wake-up dominate the scan.
-static constexpr size_t kMinCandidatesPerWorker = 2048;
-
-bool ProvenanceGraph::ShouldFanOut(const Query& query,
-                                   const QueryPlan& plan) const {
-  if (query.parallelism <= 1) return false;
-  // A covering plan needs no per-candidate checks — offset/limit become
-  // slice arithmetic, which no thread pool can beat.
-  if (plan.covers_filters) return false;
-  // Row-group records decode on first touch; concurrent workers would
-  // race on that mutation. Warm() lifts the restriction.
-  if (base_decoded_ < base_rows_) return false;
-  if (plan.size() < 2 * kMinCandidatesPerWorker) return false;
-  // Parallel workers cannot stop early, so a query satisfied by a small
-  // result prefix usually does better with the serial early-exit —
-  // unless its page reaches deep into the candidate range anyway.
-  if (!query.count_only && query.limit != Query::kNoLimit) {
-    const size_t wanted = query.offset > Query::kNoLimit - query.limit
-                              ? Query::kNoLimit
-                              : query.offset + query.limit;
-    if (wanted < plan.size() / 4) return false;
-  }
-  return true;
-}
-
-std::vector<uint32_t> ProvenanceGraph::ParallelMatch(
-    const Query& query, const QueryPlan& plan) const {
-  // Planning already built every index this scan reads and sorted the
-  // in-memory lists, and Warm() decoded every record, so the workers below
-  // only perform pure reads — no locks needed. One slice is already in
-  // order; several are merged into one list first.
-  std::vector<uint32_t> merged;
-  IdSpan order = plan.slices.empty() ? IdSpan{} : plan.slices[0];
-  if (plan.slices.size() > 1) {
-    merged.reserve(plan.size());
-    PlanCursor cursor(*this, plan, false);
-    for (uint32_t rid = 0; cursor.Next(&rid);) merged.push_back(rid);
-    order = {merged.data(), merged.data() + merged.size()};
-  }
-
-  common::ThreadPool& pool = common::ThreadPool::Shared();
-  const size_t n = order.size();
-  size_t workers = std::min(query.parallelism, pool.size() + 1);
-  workers = std::min(workers, n / kMinCandidatesPerWorker);
-  workers = std::max<size_t>(workers, 1);
-  const size_t chunk = (n + workers - 1) / workers;
-
-  std::vector<std::vector<uint32_t>> found(workers);
-  auto scan = [&](size_t w) {
-    const size_t lo = w * chunk;
-    const size_t hi = std::min(n, lo + chunk);
-    std::vector<uint32_t>& out = found[w];
-    for (size_t i = lo; i < hi; ++i) {
-      const uint32_t rid = order.first[i];
-      if (query.Matches(RecordAt(rid), IsInvalid(rid))) {
-        out.push_back(rid);
-      }
-    }
-  };
-  common::WaitGroup wg;
-  wg.Add(workers - 1);
-  for (size_t w = 1; w < workers; ++w) {
-    pool.Submit([&, w] {
-      scan(w);
-      wg.Done();
-    });
-  }
-  scan(0);  // the calling thread pulls its weight instead of idling
-  wg.Wait();
-
-  // Chunks are contiguous slices of the order, so in-order concatenation
-  // restores the exact ascending (timestamp, ingest) order of the serial
-  // scan.
-  size_t total = 0;
-  for (const auto& f : found) total += f.size();
-  std::vector<uint32_t> matches;
-  matches.reserve(total);
-  for (auto& f : found) {
-    matches.insert(matches.end(), f.begin(), f.end());
-  }
-  return matches;
-}
-
-namespace {
-// Visit the page [offset, offset + limit) of `matches` (ascending plan
-// order) in the requested direction, calling fn(rid) until it declines.
-// The one home for the descending-page index arithmetic, so the
-// materializing and visitor fan-out paths can never diverge.
-template <typename Fn>
-void ForEachPageMatch(const std::vector<uint32_t>& matches, size_t offset,
-                      size_t limit, bool descending, Fn&& fn) {
-  size_t start = std::min(offset, matches.size());
-  size_t take = std::min(limit, matches.size() - start);
-  for (size_t i = 0; i < take; ++i) {
-    size_t pos = start + i;
-    if (!fn(matches[descending ? matches.size() - 1 - pos : pos])) break;
-  }
-}
-}  // namespace
-
 QueryResult ProvenanceGraph::Run(const Query& query) const {
   QueryResult result;
   QueryPlan plan;
   PlanQuery(query, &plan);
   result.index_used = plan.index;
   result.candidates_scanned = plan.size();
-
-  if (ShouldFanOut(query, plan)) {
-    std::vector<uint32_t> matches = ParallelMatch(query, plan);
-    if (query.count_only) {
-      result.count = matches.size();
-      return result;
-    }
-    result.records.reserve(std::min(query.limit, matches.size()));
-    ForEachPageMatch(matches, query.offset, query.limit, query.descending,
-                     [&](uint32_t rid) {
-                       result.records.push_back(RecordAt(rid));
-                       return true;
-                     });
-    result.count = result.records.size();
-    return result;
-  }
 
   if (query.count_only) {
     if (plan.covers_filters) {
@@ -696,19 +577,6 @@ size_t ProvenanceGraph::Run(
     const std::function<bool(const ProvenanceRecord&)>& visit) const {
   QueryPlan plan;
   PlanQuery(query, &plan);
-
-  if (ShouldFanOut(query, plan)) {
-    // Predicate checks fan out; the visitor itself stays on the calling
-    // thread, in order — callers never need a thread-safe visitor.
-    std::vector<uint32_t> matches = ParallelMatch(query, plan);
-    size_t visited = 0;
-    ForEachPageMatch(matches, query.offset, query.limit, query.descending,
-                     [&](uint32_t rid) {
-                       ++visited;
-                       return visit(RecordAt(rid));
-                     });
-    return visited;
-  }
 
   PlanCursor cursor(*this, plan, query.descending);
   uint32_t rid = 0;
@@ -1005,23 +873,6 @@ void ProvenanceGraph::Open(const GraphImage& image) {
   edge_count_ = static_cast<size_t>(image.edge_count);
   subject_count_ = static_cast<size_t>(image.subject_count);
   builder_ready_ = base_.empty();
-}
-
-void ProvenanceGraph::Warm() {
-  // Every base group's index (shared; built at most once per group).
-  for (const auto& group : base_) group->index();
-
-  // Pay every pending sort now so no const query path re-sorts later.
-  for (size_t eid = 0; eid < by_subject_.size(); ++eid) {
-    EnsureTimeSorted(&by_subject_[eid], &subject_dirty_[eid]);
-  }
-  for (size_t aid = 0; aid < by_agent_.size(); ++aid) {
-    EnsureTimeSorted(&by_agent_[aid], &agent_dirty_[aid]);
-  }
-  EnsureTimeSorted(&by_time_, &time_dirty_);
-
-  // Decode every row-group record so RecordAt becomes a pure lookup.
-  for (uint32_t rid = 0; rid < base_rows_; ++rid) RecordAt(rid);
 }
 
 std::vector<std::string> ProvenanceGraph::ReexecutionSet(

@@ -58,18 +58,14 @@ enum class RelationKind : uint8_t {
 
 /// \brief In-memory provenance DAG over anchored records.
 ///
-/// Thread safety: NOT internally synchronized — one thread (or external
-/// locking) must own all access to a *live* graph. Const query methods may
-/// decode records and re-sort the in-memory time lists (mutable state), so
-/// even concurrent read-only use of an arbitrary graph requires external
-/// synchronization. The exception that makes concurrent reads possible:
-/// after Warm() — and with no mutation afterwards — every const method is
-/// a pure read, so any number of threads may query the same instance
-/// concurrently. The snapshot-isolation machinery (prov/snapshot.h) builds
-/// on exactly that contract; alternatively each reader thread opens its own
-/// cheap graph over a shared immutable GraphImage and skips Warm()
-/// entirely. Row-group indexes are shared between graphs and safe to build
-/// from any thread.
+/// Thread safety: thread-compatible, NOT internally synchronized — one
+/// thread (or external locking) owns all access to a graph. Const query
+/// methods may decode records and re-sort the in-memory time lists
+/// (mutable state), so even read-only use from several threads requires
+/// external synchronization. Concurrent readers each open their own cheap
+/// graph over a shared immutable GraphImage instead (prov/snapshot.h:
+/// one SnapshotReader per thread). Row-group indexes are shared between
+/// graphs and safe to build from any thread.
 class ProvenanceGraph {
  public:
   /// Ingest a (validated) record, creating entity/activity/agent nodes and
@@ -101,11 +97,8 @@ class ProvenanceGraph {
   /// predicates per candidate, and materializes matches in timestamp order
   /// (ties in ingest order; Descending() reverses). Count-only queries
   /// skip materialization entirely and, when the chosen index already
-  /// guarantees every filter, skip the scan too. With Query::Parallel(n)
-  /// the candidate scan fans out across the shared thread pool when the
-  /// planner estimates it pays (see ShouldFanOut) — results are identical
-  /// to serial execution. Safe to call concurrently from many threads only
-  /// on a warmed, unmutated graph (see class comment).
+  /// guarantees every filter, skip the scan too. Owner thread only (see
+  /// class comment).
   QueryResult Run(const Query& query) const;
   /// EXPLAIN: plan the query, run its candidate scan in count-only mode,
   /// and report the planner's choice — chosen index, candidate estimate at
@@ -207,16 +200,6 @@ class ProvenanceGraph {
   void Open(const GraphImage& image);
   /// @}
 
-  /// \brief Force every deferred structure into its fully-materialized,
-  /// canonically-sorted form: build every base group's index, decode every
-  /// row-group record, and pay every pending sort of the in-memory lists.
-  /// Afterwards — until the next mutation — every const method on this
-  /// graph is a pure read, safe to call from any number of threads
-  /// concurrently, and parallel query execution (Query::Parallel) becomes
-  /// eligible. Idempotent; a no-op on a graph that was never opened from an
-  /// image and has no pending sorts.
-  void Warm();
-
  private:
   /// Word-granular visited bitset sized for `n` ids.
   class Bitset {
@@ -290,18 +273,6 @@ class ProvenanceGraph {
   /// counts from the cardinality accessors) and fill `plan`. A filter
   /// naming an unknown subject/agent/entity yields an empty plan.
   void PlanQuery(const Query& query, QueryPlan* plan) const;
-  /// True when Run should fan the candidate scan out across the shared
-  /// thread pool: the query asks for it, the planner's candidate estimate
-  /// says the scan is big enough to amortize the thread handoff, the plan
-  /// needs per-candidate predicate checks at all, and every record is
-  /// already decoded (concurrent workers would race on first-touch decoding
-  /// of row-group records).
-  bool ShouldFanOut(const Query& query, const QueryPlan& plan) const;
-  /// Parallel candidate scan: rids of plan positions whose record passes
-  /// every predicate, in ascending (timestamp, rid) order. Only called when
-  /// ShouldFanOut — all state it touches is read-only by then.
-  std::vector<uint32_t> ParallelMatch(const Query& query,
-                                      const QueryPlan& plan) const;
   /// Narrow a (timestamp, rid)-ordered rid list to the query's window.
   IdSpan NarrowByTime(std::optional<Timestamp> from,
                       std::optional<Timestamp> to, IdSpan list) const;

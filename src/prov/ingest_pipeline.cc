@@ -7,6 +7,14 @@
 namespace provledger {
 namespace prov {
 
+namespace {
+// Per-shard queue capacity in records; Submit blocks (backpressure) when
+// the target shard is full.
+constexpr size_t kShardQueueCapacity = 4096;
+// Prepared batches allowed to queue ahead of the committer.
+constexpr size_t kCommitQueueCapacity = 8;
+}  // namespace
+
 IngestPipeline::IngestPipeline(ProvenanceStore* store,
                                IngestPipelineOptions options)
     : store_(store),
@@ -14,10 +22,6 @@ IngestPipeline::IngestPipeline(ProvenanceStore* store,
       nonce_(store->nonce()) {
   options_.shards = std::max<size_t>(1, options_.shards);
   options_.batch_size = std::max<size_t>(1, options_.batch_size);
-  options_.shard_queue_capacity =
-      std::max<size_t>(1, options_.shard_queue_capacity);
-  options_.commit_queue_capacity =
-      std::max<size_t>(1, options_.commit_queue_capacity);
 
   obs::Registry* registry = options_.registry != nullptr
                                 ? options_.registry
@@ -74,7 +78,7 @@ Status IngestPipeline::Submit(ProvenanceRecord record) {
   {
     std::unique_lock<std::mutex> lock(shard.mu);
     shard.not_full.wait(lock, [&] {
-      return shard.queue.size() < options_.shard_queue_capacity ||
+      return shard.queue.size() < kShardQueueCapacity ||
              stopping_.load(std::memory_order_acquire);
     });
     if (stopping_.load(std::memory_order_acquire)) {
@@ -119,7 +123,7 @@ Status IngestPipeline::SubmitBatch(std::vector<ProvenanceRecord> records) {
     while (pushed < group.size()) {
       std::unique_lock<std::mutex> lock(shard.mu);
       shard.not_full.wait(lock, [&] {
-        return shard.queue.size() < options_.shard_queue_capacity ||
+        return shard.queue.size() < kShardQueueCapacity ||
                stopping_.load(std::memory_order_acquire);
       });
       if (stopping_.load(std::memory_order_acquire)) {
@@ -136,7 +140,7 @@ Status IngestPipeline::SubmitBatch(std::vector<ProvenanceRecord> records) {
       }
       if (shard.queue.empty()) notify = true;
       while (pushed < group.size() &&
-             shard.queue.size() < options_.shard_queue_capacity) {
+             shard.queue.size() < kShardQueueCapacity) {
         shard.queue.push_back(std::move(group[pushed]));
         ++pushed;
         submitted_.fetch_add(1, std::memory_order_release);
@@ -252,7 +256,7 @@ void IngestPipeline::EnqueueBatch(PreparedBatch&& batch) {
   {
     std::unique_lock<std::mutex> lock(commit_mu_);
     commit_not_full_.wait(lock, [&] {
-      return commit_queue_.size() < options_.commit_queue_capacity ||
+      return commit_queue_.size() < kCommitQueueCapacity ||
              stopping_.load(std::memory_order_acquire);
     });
     // On shutdown the batch is enqueued regardless: the committer drains

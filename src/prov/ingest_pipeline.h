@@ -57,11 +57,6 @@ struct IngestPipelineOptions {
   /// (header hash, Merkle tree levels, block-sink write) at the price of
   /// commit latency.
   size_t batch_size = 256;
-  /// Per-shard queue capacity in records; Submit blocks (backpressure)
-  /// when the target shard is full.
-  size_t shard_queue_capacity = 4096;
-  /// Prepared batches allowed to queue ahead of the committer.
-  size_t commit_queue_capacity = 8;
   /// Publish a graph snapshot epoch after every N committed batches
   /// (0 = only on Flush/Close when publish_on_flush is set). Publication
   /// encodes the rows committed since the last epoch and copies the open

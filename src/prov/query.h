@@ -16,11 +16,10 @@
 // postings, input/output usage postings, the global timestamp index — and
 // scans only the most selective one, checking the remaining predicates per
 // candidate. Results materialize in timestamp order (ties in ingest order),
-// or stream through a visitor without copying any record. Parallel(n)
-// additionally lets the executor fan a large candidate scan out across the
-// shared thread pool (identical results, merged in order); against a
+// or stream through a visitor without copying any record. Against a
 // published snapshot (prov/snapshot.h) the same Query runs lock-free while
-// the writer keeps anchoring.
+// the writer keeps anchoring; concurrent readers each open their own
+// SnapshotReader.
 
 #ifndef PROVLEDGER_PROV_QUERY_H_
 #define PROVLEDGER_PROV_QUERY_H_
@@ -99,17 +98,6 @@ struct Query {
   /// Count matches without materializing records. Limit/offset/order are
   /// ignored; Run() returns the total match count.
   bool count_only = false;
-  /// Worker fan-out for the candidate scan (1 = serial). When > 1 and the
-  /// planner's candidate estimate says the scan is large enough to pay for
-  /// it, the executor splits the planned range across the shared thread
-  /// pool and merges matches back in order — results are identical to the
-  /// serial execution. Fan-out silently degrades to serial when the scan
-  /// is small, the plan already covers every filter (slice arithmetic
-  /// beats threads), the query wants only a shallow page (limit/offset
-  /// small relative to the scan — the serial early-exit wins), or the
-  /// graph still holds lazily-materialized snapshot records (warm the
-  /// reader first; see ProvenanceGraph::Warm).
-  size_t parallelism = 1;
   /// @}
 
   /// \name Fluent setters.
@@ -187,11 +175,6 @@ struct Query {
   }
   Query& CountOnly() {
     count_only = true;
-    return *this;
-  }
-  /// Allow the executor to scan candidates with up to `n` workers.
-  Query& Parallel(size_t n) {
-    parallelism = n == 0 ? 1 : n;
     return *this;
   }
   /// @}

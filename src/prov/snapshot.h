@@ -81,10 +81,9 @@ class GraphSnapshot {
   /// over the shared row groups and their shared indexes, so a reader is
   /// cheap to open (O(groups), no record decoding or indexing up front)
   /// but is NOT itself thread-safe — its decoded-record cache is private;
-  /// open one per reader thread, or call
-  /// SnapshotReader::Warm() once and share it read-only. Never fails on an
-  /// image the store published; the Result is kept for callers that treat
-  /// opening as fallible.
+  /// open one per reader thread. Never fails on an image the store
+  /// published; the Result is kept for callers that treat opening as
+  /// fallible.
   Result<SnapshotReader> OpenReader() const;
 
  private:
@@ -98,10 +97,9 @@ class GraphSnapshot {
 /// \brief A queryable view of one snapshot epoch.
 ///
 /// Thread safety: thread-compatible, like any opened ProvenanceGraph — one
-/// thread per reader (records decode into the reader on first use). To
-/// share a single reader across threads (e.g. for Query::Parallel
-/// fan-out), call Warm() first and mutate nothing afterwards; a warmed
-/// reader's const methods are pure reads.
+/// thread per reader (records decode into the reader on first use).
+/// Concurrent readers each open their own over the same epoch; they share
+/// its row groups and group indexes, never a reader.
 class SnapshotReader {
  public:
   /// The epoch this reader sees (never changes, whatever the writer does).
@@ -121,11 +119,6 @@ class SnapshotReader {
   /// Full graph surface (lineage, cardinality accessors, ...) over the
   /// snapshot.
   const ProvenanceGraph& graph() const { return graph_; }
-
-  /// Materialize everything now (every group index, every record). Trades
-  /// the lazy open for concurrent shareability and Query::Parallel
-  /// eligibility — see ProvenanceGraph::Warm.
-  void Warm() { graph_.Warm(); }
 
  private:
   friend class GraphSnapshot;

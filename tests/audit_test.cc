@@ -527,7 +527,6 @@ TEST(AuditConcurrencyTest, AuditorNeverFalselyAccusesLiveIngest) {
 
   ContinuousAuditorOptions audit_options;
   audit_options.max_blocks_per_pass = 8;
-  audit_options.parallelism = 2;
   audit_options.pass_interval_us = 200;
   ContinuousAuditor auditor(&chain, &store, audit_options);
   auditor.Start();

@@ -12,7 +12,6 @@
 //     across groups whose time ranges overlap, and after extending an
 //     opened graph in memory), and readers on one or many epochs build
 //     each group index exactly once between them,
-//   * parallel query execution: bit-identical results to serial runs,
 //   * the prepared-block fast path: byte-identical blocks to Append,
 //   * chunked chain views: a reader walks whole views while the writer
 //     seals chunks.
@@ -31,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "crypto/merkle.h"
 #include "obs/metrics.h"
 #include "prov/ingest_pipeline.h"
@@ -306,15 +304,6 @@ void AddChainRecs(ProvenanceGraph* graph, size_t from, size_t to) {
   }
 }
 
-void ExpectSameResults(const QueryResult& serial, const QueryResult& parallel) {
-  EXPECT_EQ(serial.count, parallel.count);
-  EXPECT_EQ(serial.index_used, parallel.index_used);
-  ASSERT_EQ(serial.records.size(), parallel.records.size());
-  for (size_t i = 0; i < serial.records.size(); ++i) {
-    EXPECT_EQ(serial.records[i].record_id, parallel.records[i].record_id);
-  }
-}
-
 std::vector<std::string> Ids(const QueryResult& result) {
   std::vector<std::string> ids;
   for (const auto& rec : result.records) ids.push_back(rec.record_id);
@@ -449,14 +438,6 @@ TEST(RowGroupEpochTest, ReaderMatchesLiveGraphForEveryQueryKind) {
   // A later invalidation does not reach the published epoch.
   ASSERT_TRUE(live.Invalidate("rec-5", 2'600'000, "late").ok());
   EXPECT_FALSE(view.IsInvalidated("rec-5"));
-
-  // Warmed, the reader serves parallel scans with serial results.
-  reader.Warm();
-  for (Query q : queries) {
-    const QueryResult serial = reader.Execute(q);
-    q.Parallel(4);
-    ExpectSameResults(serial, reader.Execute(q));
-  }
 }
 
 // Four groups whose time ranges overlap: the first 600 rows of every
@@ -656,7 +637,8 @@ TEST(RowGroupEpochTest, ReaderMatchesLiveGraphAcrossOverlappingGroups) {
 // Readers on the latest epoch and readers walking consecutive epochs,
 // while the writer seals two groups: every group index is built exactly
 // once between them (each sealed group once, each epoch's copy of the open
-// group once), and every reader answers like a warmed reader of its epoch.
+// group once), and every reader answers like a reader of its epoch opened
+// after the writer is done.
 TEST(RowGroupEpochTest, ReadersBuildEachGroupIndexOnce) {
   constexpr size_t kRows = 2 * kRowGroupRows + 1500;
   constexpr size_t kPerEpoch = 2500;
@@ -746,15 +728,14 @@ TEST(RowGroupEpochTest, ReadersBuildEachGroupIndexOnce) {
   EXPECT_EQ(seen[2].size(), epochs.size());
   EXPECT_EQ(seen[3].size(), epochs.size());
 
-  std::map<const GraphSnapshot*, SnapshotReader> warmed;
+  std::map<const GraphSnapshot*, SnapshotReader> reference;
   for (const auto& per_thread : seen) {
     for (const Seen& s : per_thread) {
-      auto it = warmed.find(s.epoch.get());
-      if (it == warmed.end()) {
+      auto it = reference.find(s.epoch.get());
+      if (it == reference.end()) {
         auto reader = s.epoch->OpenReader();
         ASSERT_TRUE(reader.ok());
-        it = warmed.emplace(s.epoch.get(), std::move(reader).value()).first;
-        it->second.Warm();
+        it = reference.emplace(s.epoch.get(), std::move(reader).value()).first;
       }
       EXPECT_EQ(s.results, mix(it->second.graph(), s.round))
           << "epoch " << s.epoch->epoch() << " round " << s.round;
@@ -818,101 +799,6 @@ TEST_F(ConcurrencyTest, ReadersQueryOldAndNewEpochsWhileWriterSealsAndPublishes)
   EXPECT_EQ(last->record_count(), kRecords);
   EXPECT_EQ(last->image().groups.size(), 2u);
   EXPECT_EQ(first->record_count(), 1u);
-}
-
-// -- Parallel query execution ------------------------------------------------
-
-class ParallelQueryTest : public ::testing::Test {
- protected:
-  static constexpr size_t kRecords = 9000;  // above the fan-out threshold
-  ParallelQueryTest() {
-    for (size_t i = 0; i < kRecords; ++i) {
-      ProvenanceRecord rec = Rec(i, 300, 12);
-      if (i % 7 == 0) rec.inputs.push_back("entity-" + std::to_string(i % 300));
-      EXPECT_TRUE(graph_.AddRecord(std::move(rec)).ok());
-    }
-  }
-  ProvenanceGraph graph_;
-};
-
-TEST_F(ParallelQueryTest, ParallelScanMatchesSerial) {
-  // Residual predicates (operation, field) force a real per-candidate
-  // scan over the full-extent time index — the fan-out case.
-  std::vector<Query> queries;
-  queries.push_back(Query().WithOperation("update"));
-  queries.push_back(Query().WithOperation("read").Descending());
-  // Shallow page: falls back to the serial early-exit; deep page: fans
-  // out. Both must match serial results exactly.
-  queries.push_back(Query().WithOperation("update").Offset(37).Limit(100));
-  queries.push_back(Query().WithOperation("read").Offset(100).Limit(8000));
-  queries.push_back(Query().WithField("seq", "123"));
-  queries.push_back(Query().WithOperation("update").CountOnly());
-  queries.push_back(Query().WithOperation("read").Between(1'002'000, 1'007'000));
-  for (const auto& base : queries) {
-    Query parallel = base;
-    parallel.Parallel(4);
-    ExpectSameResults(graph_.Run(base), graph_.Run(parallel));
-  }
-}
-
-TEST_F(ParallelQueryTest, ParallelVisitorMatchesSerialAndStaysInOrder) {
-  Query base = Query().WithOperation("update");
-  std::vector<std::string> serial_ids, parallel_ids;
-  graph_.Run(base, [&](const ProvenanceRecord& rec) {
-    serial_ids.push_back(rec.record_id);
-    return true;
-  });
-  Query parallel = base;
-  parallel.Parallel(4);
-  graph_.Run(parallel, [&](const ProvenanceRecord& rec) {
-    parallel_ids.push_back(rec.record_id);
-    return true;
-  });
-  EXPECT_EQ(serial_ids, parallel_ids);
-
-  // Early stop still works through the parallel path.
-  size_t visited = graph_.Run(parallel, [&](const ProvenanceRecord&) {
-    return false;
-  });
-  EXPECT_EQ(visited, 1u);
-}
-
-TEST_F(ParallelQueryTest, SmallScansFallBackToSerial) {
-  // A selective subject scan is far below the fan-out threshold; the knob
-  // must be a silent no-op, not an error.
-  Query query = Query().WithSubject("entity-5").Parallel(8);
-  auto result = graph_.Run(query);
-  EXPECT_EQ(result.count, kRecords / 300);
-}
-
-TEST_F(ParallelQueryTest, ConcurrentParallelQueriesOnWarmedGraph) {
-  graph_.Warm();
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < 3; ++t) {
-    threads.emplace_back([&] {
-      for (int iter = 0; iter < 5; ++iter) {
-        auto result = graph_.Run(Query().WithOperation("update").Parallel(4));
-        EXPECT_EQ(result.count, (kRecords + 2) / 3);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-}
-
-TEST_F(ParallelQueryTest, WarmedSnapshotReaderSupportsParallelQueries) {
-  GraphSnapshot snapshot(1, 0, graph_.Image());
-  ASSERT_EQ(snapshot.record_count(), kRecords);
-  auto reader = snapshot.OpenReader();
-  ASSERT_TRUE(reader.ok());
-
-  // Lazily opened reader: parallel silently degrades to serial (records
-  // would race on first-touch decoding) but results are still correct.
-  auto lazy = reader->Execute(Query().WithOperation("update").Parallel(4));
-  EXPECT_EQ(lazy.count, (kRecords + 2) / 3);
-
-  reader->Warm();
-  auto warmed = reader->Execute(Query().WithOperation("update").Parallel(4));
-  ExpectSameResults(lazy, warmed);
 }
 
 // -- Prepared-block fast path ------------------------------------------------
@@ -1126,24 +1012,6 @@ TEST_F(ConcurrencyTest, PipelineRetriesChainRefusalOnce) {
   EXPECT_EQ(pipeline.committed(), 4u);
   EXPECT_EQ(pipeline.failed(), 0u);
   EXPECT_EQ(store_.anchored_count(), 4u);
-}
-
-// -- ThreadPool building block ----------------------------------------------
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  common::ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-  std::atomic<int> sum{0};
-  common::WaitGroup wg;
-  wg.Add(100);
-  for (int i = 1; i <= 100; ++i) {
-    pool.Submit([&, i] {
-      sum.fetch_add(i, std::memory_order_relaxed);
-      wg.Done();
-    });
-  }
-  wg.Wait();
-  EXPECT_EQ(sum.load(), 5050);
 }
 
 }  // namespace

@@ -85,6 +85,10 @@ TEST(FuzzRegressionTest, StoreSnapshot) {
   ReplayCorpus("store_snapshot", fuzz::FuzzStoreSnapshot);
 }
 
+TEST(FuzzRegressionTest, LineageProof) {
+  ReplayCorpus("lineage_proof", fuzz::FuzzLineageProof);
+}
+
 // Degenerate inputs every harness must shrug off, independent of corpus
 // contents.
 TEST(FuzzRegressionTest, DegenerateInputsOnEveryHarness) {
@@ -96,6 +100,7 @@ TEST(FuzzRegressionTest, DegenerateInputsOnEveryHarness) {
       {"chain_log", fuzz::FuzzChainLog},
       {"replication", fuzz::FuzzReplication},
       {"store_snapshot", fuzz::FuzzStoreSnapshot},
+      {"lineage_proof", fuzz::FuzzLineageProof},
   };
   const Bytes zeros(64, 0x00);
   const Bytes ones(64, 0xFF);
